@@ -16,9 +16,8 @@ use ccnvm_mem::crashpoint;
 use ccnvm_mem::file::LOG_FILE;
 use ccnvm_mem::{
     DurableBackend, FileBackend, FileBackendConfig, FileBackendError, FsyncStrategy, LineAddr,
-    LineStore,
+    LineMap, LineStore,
 };
-use std::collections::HashMap;
 use std::fmt;
 use std::io::Write as _;
 use std::path::Path;
@@ -112,10 +111,10 @@ impl CrashImage {
 pub struct GroundTruth {
     /// Logical write-back version of each data line (drives the
     /// expected plaintext pattern).
-    pub data_versions: HashMap<u64, u64>,
+    pub data_versions: LineMap<u64>,
     /// Current (on-chip-truth) content of every materialized counter
     /// line.
-    pub counter_lines: HashMap<u64, [u8; 64]>,
+    pub counter_lines: LineMap<[u8; 64]>,
     /// The root over the current logical tree state.
     pub current_root: [u8; 16],
 }

@@ -76,14 +76,19 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The exporters nest
+/// a handful of levels; the cap keeps the recursive parser's stack
+/// bounded on hostile input such as megabytes of `[`.
+pub const MAX_DEPTH: usize = 256;
+
 /// Parses one JSON value from `text`, requiring only trailing
 /// whitespace after it.
 ///
 /// # Errors
 ///
 /// Returns a byte-offset description of the first construct outside
-/// the exporter subset (floats, escapes, `null`, negative numbers) or
-/// any malformed input.
+/// the exporter subset (floats, escapes, `null`, negative numbers),
+/// nesting deeper than [`MAX_DEPTH`], or any malformed input.
 pub fn parse(text: &str) -> Result<Json, String> {
     let mut parser = Parser::new(text);
     let value = parser.value()?;
@@ -97,6 +102,8 @@ pub fn parse(text: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -104,6 +111,7 @@ impl<'a> Parser<'a> {
         Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         }
     }
 
@@ -181,10 +189,30 @@ impl<'a> Parser<'a> {
     }
 
     fn value(&mut self) -> Result<Json, String> {
+        if matches!(self.peek(), Some(b'{' | b'[')) {
+            if self.depth == MAX_DEPTH {
+                return Err(format!(
+                    "nesting deeper than {MAX_DEPTH} at byte {}",
+                    self.pos
+                ));
+            }
+            self.depth += 1;
+            let value = self.container();
+            self.depth -= 1;
+            return value;
+        }
         match self.peek() {
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.keyword("true", Json::Bool(true)),
             Some(b'f') => self.keyword("false", Json::Bool(false)),
+            Some(b) if b.is_ascii_digit() => Ok(Json::Num(self.number()?)),
+            other => Err(format!("unexpected input at byte {}: {other:?}", self.pos)),
+        }
+    }
+
+    /// An object or array; the caller has checked the nesting depth.
+    fn container(&mut self) -> Result<Json, String> {
+        match self.peek() {
             Some(b'{') => {
                 self.expect(b'{')?;
                 let mut fields = Vec::new();
@@ -225,8 +253,7 @@ impl<'a> Parser<'a> {
                     }
                 }
             }
-            Some(b) if b.is_ascii_digit() => Ok(Json::Num(self.number()?)),
-            other => Err(format!("unexpected input at byte {}: {other:?}", self.pos)),
+            other => unreachable!("container called on {other:?}"),
         }
     }
 }
@@ -253,6 +280,17 @@ mod tests {
         assert!(parse("{\"a\":null}").is_err(), "null");
         assert!(parse("{\"a\":\"x\\n\"}").is_err(), "escapes");
         assert!(parse("{} junk").is_err(), "trailing input");
+    }
+
+    #[test]
+    fn nesting_is_capped_without_overflowing_the_stack() {
+        let err = parse(&"[".repeat(2_000_000)).unwrap_err();
+        assert!(err.contains("nesting deeper than 256"), "{err}");
+        assert!(parse(&"{\"a\":".repeat(2_000_000)).is_err());
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_cap).is_ok());
+        let over = format!("[{at_cap}]");
+        assert!(parse(&over).is_err());
     }
 
     #[test]

@@ -19,8 +19,7 @@ use crate::secmem::SecureMemory;
 use crate::stats::{Histogram, RunStats};
 use crate::tcb::{Keys, Tcb};
 use ccnvm_mem::timing::BoundedQueue;
-use ccnvm_mem::{Cycle, DurableBackend, Line, LineAddr, LineStore, MemController};
-use std::collections::HashMap;
+use ccnvm_mem::{Cycle, DurableBackend, Line, LineAddr, LineMap, LineStore, MemController};
 
 /// The NVM-side value state of a [`SecureMemory`]: the two off-chip
 /// layers plus the simulator's data-version shadow.
@@ -33,7 +32,7 @@ pub(crate) struct NvmState {
     pub(crate) overlay: LineStore,
     /// Write-back version per data line (drives the self-checking
     /// plaintext pattern; simulator ground truth, not hardware state).
-    pub(crate) versions: HashMap<u64, u64>,
+    pub(crate) versions: LineMap<u64>,
 }
 
 impl NvmState {
@@ -41,7 +40,7 @@ impl NvmState {
         Self {
             durable,
             overlay: LineStore::new(),
-            versions: HashMap::new(),
+            versions: LineMap::default(),
         }
     }
 
@@ -243,7 +242,7 @@ impl SecureMemory {
     pub fn ground_truth(&self) -> GroundTruth {
         // Gather every counter line that was ever materialized in any
         // layer, at its current logical value.
-        let mut counter_lines = HashMap::new();
+        let mut counter_lines = LineMap::default();
         let mut consider = |line: LineAddr, this: &Self| {
             if this.layout.is_counter_line(line) {
                 let content = this.meta_content(line);

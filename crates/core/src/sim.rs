@@ -142,8 +142,10 @@ impl Simulator {
         // Physical aliasing: working sets larger than the protected
         // capacity wrap around the data region (only relevant for
         // deliberately tiny test configurations — the paper's 16 GB
-        // dwarfs every profile's working set).
-        let line = LineAddr(op.addr.line().0 % self.mem.layout().data_lines());
+        // dwarfs every profile's working set, so the compare skips the
+        // division on every paper-scale access).
+        let (l, n) = (op.addr.line().0, self.mem.layout().data_lines());
+        let line = LineAddr(if l < n { l } else { l % n });
         let is_store = op.kind == OpKind::Write;
 
         let l1 = self.l1.access(line, is_store);
@@ -441,6 +443,65 @@ mod tests {
                 "{line} must be durable after an orderly shutdown"
             );
         }
+    }
+
+    #[test]
+    fn alias_wrapping_run_matches_pinned_stats() {
+        // lbm's working set is far larger than `small`'s 1 MiB of
+        // protected data, so most accesses take the alias wrap. The
+        // pinned counters were recorded when the wrap was a plain `%`.
+        let run = |design| {
+            let mut sim = Simulator::new(SimConfig::small(design)).unwrap();
+            assert_eq!(sim.memory().layout().data_lines(), 16_384);
+            let trace = TraceGenerator::new(profiles::by_name("lbm").unwrap(), 42);
+            sim.run(trace, 200_000).unwrap()
+        };
+        let shared = RunStats {
+            instructions: 200_003,
+            l1_hits: 35_860,
+            l1_misses: 19_965,
+            l2_hits: 21_436,
+            l2_misses: 8_014,
+            write_backs: 5_077,
+            data_writes: 5_077,
+            aes_ops: 12_976,
+            ..RunStats::default()
+        };
+        assert_eq!(
+            run(DesignKind::WithoutCc),
+            RunStats {
+                cycles: 2_374_965,
+                meta_hits: 12_226,
+                meta_misses: 1_753,
+                nvm_reads: 17_984,
+                dh_writes: 5_045,
+                meta_writes: 567,
+                hmacs: 13_512,
+                read_stall_cycles: 2_047_785,
+                engine_cycles: 1_714_856,
+                ..shared
+            }
+        );
+        assert_eq!(
+            run(DesignKind::CcNvm),
+            RunStats {
+                cycles: 2_526_017,
+                meta_hits: 12_226,
+                meta_misses: 1_753,
+                nvm_reads: 18_139,
+                dh_writes: 5_037,
+                meta_writes: 2_342,
+                drains: 82,
+                drains_evict: 31,
+                drains_update_limit: 51,
+                drain_cycles: 219_940,
+                hmacs: 14_854,
+                wb_stall_cycles: 2_404,
+                read_stall_cycles: 2_196_433,
+                engine_cycles: 2_294_420,
+                ..shared
+            }
+        );
     }
 
     #[test]

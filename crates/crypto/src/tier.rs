@@ -97,9 +97,17 @@ impl fmt::Display for SimdCaps {
     }
 }
 
-/// Detects the hardware capabilities of this host. `std` caches the
-/// underlying CPUID probes, so calling this on hot paths is cheap.
+/// The hardware capabilities of this host, probed once per process.
+///
+/// Every SHA-1 compression and AES block asks, so the answer is kept
+/// in a `OnceLock`: later calls are one load instead of six
+/// feature-detection probes.
 pub fn caps() -> SimdCaps {
+    static CAPS: std::sync::OnceLock<SimdCaps> = std::sync::OnceLock::new();
+    *CAPS.get_or_init(detect_caps)
+}
+
+fn detect_caps() -> SimdCaps {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     {
         SimdCaps {

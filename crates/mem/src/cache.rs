@@ -179,8 +179,16 @@ impl<T: Default> SetAssocCache<T> {
 }
 
 impl<T> SetAssocCache<T> {
+    /// Every lookup starts here, so it avoids division: the paper's
+    /// geometries all have a power-of-two set count and take the mask.
+    #[inline]
     fn set_index(&self, line: LineAddr) -> usize {
-        (line.0 as usize) % self.config.sets()
+        let sets = self.sets.len();
+        if sets.is_power_of_two() {
+            line.0 as usize & (sets - 1)
+        } else {
+            line.0 as usize % sets
+        }
     }
 
     /// Whether `line` is resident (does not touch LRU state).
@@ -377,6 +385,37 @@ mod tests {
         let r = c.access(LineAddr(2), false);
         assert_eq!(r.evicted.map(|e| e.addr), Some(LineAddr(0)));
         assert!(c.contains(LineAddr(1)));
+    }
+
+    #[test]
+    fn set_index_is_line_modulo_sets_for_any_geometry() {
+        // 3, 5 and 6 sets take `%`; 1, 4 and 256 sets take the mask.
+        for (capacity, ways) in [
+            (384, 2),
+            (320, 1),
+            (768, 2),
+            (128, 2),
+            (512, 2),
+            (32 << 10, 2),
+        ] {
+            let c: SetAssocCache<()> = SetAssocCache::new(CacheConfig::new(capacity, ways));
+            let sets = c.config().sets() as u64;
+            for line in (0..1000).chain([u64::MAX - 1, u64::MAX, 1 << 40, (1 << 40) + 7]) {
+                assert_eq!(
+                    c.set_index(LineAddr(line)) as u64,
+                    line % sets,
+                    "{sets} sets"
+                );
+            }
+        }
+        // Behaviourally: 3 sets × 1 way, lines 0 and 3 share set 0.
+        let mut c: SetAssocCache<()> = SetAssocCache::new(CacheConfig::new(192, 1));
+        c.access(LineAddr(0), false);
+        c.access(LineAddr(1), false);
+        c.access(LineAddr(2), false);
+        let r = c.access(LineAddr(3), false);
+        assert_eq!(r.evicted.map(|e| e.addr), Some(LineAddr(0)));
+        assert!(c.contains(LineAddr(1)) && c.contains(LineAddr(2)));
     }
 
     #[test]

@@ -242,22 +242,38 @@ impl FileIoCounters {
     }
 }
 
-/// CRC-32 (ISO-HDLC polynomial, the zlib/`crc32fast` flavour),
-/// bit-reflected, init and xorout `0xFFFF_FFFF`.
-fn crc32(data: &[u8]) -> u32 {
-    const POLY: u32 = 0xEDB8_8320;
-    let mut crc = 0xFFFF_FFFFu32;
-    for &byte in data {
-        crc ^= u32::from(byte);
-        for _ in 0..8 {
-            let lsb = crc & 1;
-            crc >>= 1;
-            if lsb != 0 {
-                crc ^= POLY;
-            }
+/// Bit-reflected CRC-32 polynomial (ISO-HDLC).
+const CRC_POLY: u32 = 0xEDB8_8320;
+
+/// One byte's worth of the bitwise CRC division, precomputed per
+/// byte value.
+const CRC_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ CRC_POLY
+            } else {
+                crc >> 1
+            };
+            bit += 1;
         }
+        table[i] = crc;
+        i += 1;
     }
-    !crc
+    table
+};
+
+/// CRC-32 (ISO-HDLC polynomial, the zlib/`crc32fast` flavour),
+/// bit-reflected, init and xorout `0xFFFF_FFFF`. Table-driven: every
+/// commit record, flight entry and manifest load runs it.
+fn crc32(data: &[u8]) -> u32 {
+    !data.iter().fold(0xFFFF_FFFFu32, |crc, &byte| {
+        CRC_TABLE[((crc ^ u32::from(byte)) & 0xFF) as usize] ^ (crc >> 8)
+    })
 }
 
 /// The file-backed durable store. See the module docs for the on-disk
@@ -560,15 +576,11 @@ impl FileBackend {
         self.flight_begin("manifest-swap");
         let mut addrs: Vec<LineAddr> = self.mirror.iter().map(|(l, _)| l).collect();
         addrs.sort_unstable();
-        let mut bytes = Vec::with_capacity(8 + 8 + addrs.len() * 72 + 4);
-        bytes.extend_from_slice(&MANIFEST_MAGIC);
-        bytes.extend_from_slice(&(addrs.len() as u64).to_le_bytes());
-        for &addr in &addrs {
-            bytes.extend_from_slice(&addr.0.to_le_bytes());
-            bytes.extend_from_slice(self.mirror.get(addr).expect("addr just listed"));
-        }
-        let crc = crc32(&bytes[8..]);
-        bytes.extend_from_slice(&crc.to_le_bytes());
+        let bytes = encode_manifest(
+            addrs
+                .iter()
+                .map(|&addr| (addr, self.mirror.get(addr).expect("addr just listed"))),
+        );
 
         let tmp = self.dir.join(MANIFEST_TMP_FILE);
         let mut f = File::create(&tmp)?;
@@ -787,6 +799,21 @@ fn replay_log(bytes: &[u8], mirror: &mut LineStore) -> Replay {
     }
 }
 
+/// Serializes `(line, content)` entries, in the order given, as a
+/// manifest: magic, entry count, 72-byte entries, CRC-32 trailer.
+fn encode_manifest<'a>(entries: impl ExactSizeIterator<Item = (LineAddr, &'a Line)>) -> Vec<u8> {
+    let mut bytes = Vec::with_capacity(8 + 8 + entries.len() * 72 + 4);
+    bytes.extend_from_slice(&MANIFEST_MAGIC);
+    bytes.extend_from_slice(&(entries.len() as u64).to_le_bytes());
+    for (addr, content) in entries {
+        bytes.extend_from_slice(&addr.0.to_le_bytes());
+        bytes.extend_from_slice(content);
+    }
+    let crc = crc32(&bytes[8..]);
+    bytes.extend_from_slice(&crc.to_le_bytes());
+    bytes
+}
+
 fn load_manifest(path: &Path) -> Result<LineStore, FileBackendError> {
     let bytes = match std::fs::read(path) {
         Ok(b) => b,
@@ -805,8 +832,14 @@ fn load_manifest(path: &Path) -> Result<LineStore, FileBackendError> {
     if bytes.len() < 8 + 8 + 4 || bytes[..8] != MANIFEST_MAGIC {
         return Err(corrupt("missing or bad magic"));
     }
-    let count = u64::from_le_bytes(bytes[8..16].try_into().expect("8")) as usize;
-    let expected = 8 + 8 + count * 72 + 4;
+    let count = u64::from_le_bytes(bytes[8..16].try_into().expect("8"));
+    // The count is attacker-controlled: size arithmetic must not wrap.
+    let expected = usize::try_from(count)
+        .ok()
+        .and_then(|c| c.checked_mul(72))
+        .and_then(|b| b.checked_add(8 + 8 + 4))
+        .ok_or_else(|| corrupt(&format!("entry count {count} overflows the manifest size")))?;
+    let count = count as usize; // fits: `try_from` succeeded above
     if bytes.len() != expected {
         return Err(corrupt(&format!(
             "length {} does not match {count} entries",
@@ -971,6 +1004,30 @@ mod tests {
     }
 
     #[test]
+    fn crc32_table_matches_bitwise_division() {
+        let bitwise = |data: &[u8]| {
+            let mut crc = 0xFFFF_FFFFu32;
+            for &byte in data {
+                crc ^= u32::from(byte);
+                for _ in 0..8 {
+                    crc = if crc & 1 != 0 {
+                        (crc >> 1) ^ CRC_POLY
+                    } else {
+                        crc >> 1
+                    };
+                }
+            }
+            !crc
+        };
+        let data: Vec<u8> = (0..4096u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        for len in [0, 1, 7, 64, 73, 4096] {
+            assert_eq!(crc32(&data[..len]), bitwise(&data[..len]), "len {len}");
+        }
+    }
+
+    #[test]
     fn store_survives_reopen() {
         let dir = temp_dir("reopen");
         {
@@ -1132,6 +1189,51 @@ mod tests {
         assert!(matches!(err, FileBackendError::CorruptManifest { .. }));
         assert!(err.to_string().contains("manifest"));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn manifest_count_overflow_is_a_typed_error() {
+        // 20 bytes claiming 2^61 entries: `count * 72` overflows u64.
+        let dir = temp_dir("countoverflow");
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut bytes = MANIFEST_MAGIC.to_vec();
+        bytes.extend_from_slice(&(1u64 << 61).to_le_bytes());
+        bytes.extend_from_slice(&[0u8; 4]);
+        assert_eq!(bytes.len(), 20);
+        std::fs::write(dir.join(MANIFEST_FILE), &bytes).unwrap();
+        let err = FileBackend::open(&dir, FileBackendConfig::default()).unwrap_err();
+        assert!(
+            matches!(err, FileBackendError::CorruptManifest { .. }),
+            "{err}"
+        );
+        assert!(err.to_string().contains("overflows"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn adversarial_manifest_keys_do_not_flood_open() {
+        use crate::linemap::{adversarial_keys, best_of_three};
+        const N: u64 = 100_000;
+        let content = [0xa5u8; 64];
+        let open_manifest = |tag: &str, keys: &mut dyn Iterator<Item = u64>| {
+            let dir = temp_dir(tag);
+            std::fs::create_dir_all(&dir).unwrap();
+            let entries: Vec<LineAddr> = keys.map(LineAddr).collect();
+            let bytes = encode_manifest(entries.iter().map(|&a| (a, &content)));
+            std::fs::write(dir.join(MANIFEST_FILE), bytes).unwrap();
+            let took = best_of_three(|| assert_eq!(open(&dir).mirror.len() as u64, N));
+            std::fs::remove_dir_all(&dir).ok();
+            took
+        };
+        let sequential = open_manifest("flood-seq", &mut (0..N));
+        for pattern in [0, 1] {
+            let hostile = open_manifest("flood-hostile", &mut adversarial_keys(pattern, N));
+            assert!(
+                hostile < sequential * 4,
+                "pattern {pattern}: open took {hostile:?} on {N} hostile keys \
+                 vs {sequential:?} sequential"
+            );
+        }
     }
 
     #[test]

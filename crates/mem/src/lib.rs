@@ -8,6 +8,8 @@
 //!   addresses.
 //! * [`store`] — a sparse functional backing store holding real line
 //!   contents for a (up to) 16 GB physical address space.
+//! * [`linemap`] — the seeded line-key [`LineMap`]/[`LineSet`] every
+//!   per-line table in the workspace uses.
 //! * [`cache`] — a generic set-associative, LRU, write-back cache model
 //!   with per-line user payloads (used for L1, L2 and the Meta Cache).
 //! * [`timing`] — a banked NVM device timing model (60 ns reads,
@@ -41,6 +43,7 @@ pub mod cache;
 pub mod controller;
 pub mod crashpoint;
 pub mod file;
+pub mod linemap;
 pub mod store;
 pub mod timing;
 
@@ -54,5 +57,6 @@ pub use file::{
     flight_boundary_line, read_flight_log, FileBackend, FileBackendConfig, FileBackendError,
     FileIoCounters, FileIoStats, FsyncStrategy,
 };
+pub use linemap::{LineMap, LineSet};
 pub use store::{Line, LineStore};
 pub use timing::{Cycle, NvmTiming, NvmTimingConfig};

@@ -8,7 +8,7 @@
 //! subtrees hash to a per-level default).
 
 use crate::addr::LineAddr;
-use std::collections::HashMap;
+use crate::linemap::LineMap;
 
 /// One 64-byte line of real content.
 pub type Line = [u8; 64];
@@ -30,7 +30,7 @@ pub const ZERO_LINE: Line = [0u8; 64];
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct LineStore {
-    lines: HashMap<u64, Line>,
+    lines: LineMap<Line>,
 }
 
 impl LineStore {

@@ -55,6 +55,7 @@ impl Rng {
     }
 
     /// The next raw 64-bit output.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         let out = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         let t = self.s[1] << 17;
@@ -68,12 +69,14 @@ impl Rng {
     }
 
     /// A uniform `f64` in `[0, 1)` (53 significant bits).
+    #[inline]
     pub fn gen_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// A Bernoulli draw: `true` with probability `p` (clamped to
     /// `[0, 1]`).
+    #[inline]
     pub fn gen_bool(&mut self, p: f64) -> bool {
         self.gen_f64() < p
     }
@@ -84,6 +87,7 @@ impl Rng {
     /// # Panics
     ///
     /// Panics on an empty range.
+    #[inline]
     pub fn gen_range<R: SampleRange>(&mut self, range: R) -> R::Output {
         range.sample(self)
     }
@@ -113,6 +117,7 @@ impl Rng {
     /// Uniform `u64` below `bound` via Lemire's multiply-shift (the
     /// tiny modulo bias of one 128-bit multiply is irrelevant for
     /// simulation workloads and far below what any test resolves).
+    #[inline]
     fn below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "empty range");
         ((u128::from(self.next_u64()) * u128::from(bound)) >> 64) as u64
@@ -133,6 +138,7 @@ macro_rules! impl_int_range {
         impl SampleRange for Range<$t> {
             type Output = $t;
 
+            #[inline]
             fn sample(self, rng: &mut Rng) -> $t {
                 assert!(self.start < self.end, "empty range");
                 let span = (self.end as u64).wrapping_sub(self.start as u64);
@@ -143,6 +149,7 @@ macro_rules! impl_int_range {
         impl SampleRange for RangeInclusive<$t> {
             type Output = $t;
 
+            #[inline]
             fn sample(self, rng: &mut Rng) -> $t {
                 let (start, end) = (*self.start(), *self.end());
                 assert!(start <= end, "empty range");
@@ -162,6 +169,7 @@ impl_int_range!(u8, u16, u32, u64, usize);
 impl SampleRange for Range<f64> {
     type Output = f64;
 
+    #[inline]
     fn sample(self, rng: &mut Rng) -> f64 {
         assert!(self.start < self.end, "empty range");
         self.start + rng.gen_f64() * (self.end - self.start)
@@ -171,6 +179,7 @@ impl SampleRange for Range<f64> {
 impl SampleRange for RangeInclusive<f64> {
     type Output = f64;
 
+    #[inline]
     fn sample(self, rng: &mut Rng) -> f64 {
         let (start, end) = (*self.start(), *self.end());
         assert!(start <= end, "empty range");
