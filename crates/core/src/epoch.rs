@@ -20,7 +20,7 @@ use crate::obs;
 use crate::secmem::{DrainTrigger, SecureMemory};
 use ccnvm_crypto::latency::HMAC_LATENCY_CYCLES;
 use ccnvm_crypto::Mac128;
-use ccnvm_mem::{Cycle, Line, LineAddr, LineMap};
+use ccnvm_mem::{BoundaryLabel, BoundaryOp, Cycle, Line, LineAddr, LineMap};
 
 /// Reusable drain working storage, owned by [`SecureMemory`] so the
 /// steady-state drain allocates nothing: each buffer is cleared and
@@ -64,12 +64,12 @@ impl SecureMemory {
             trigger: Some(trigger),
             lines: queued,
         });
-        self.flight_boundary("begin", "drain-stage");
+        self.flight_boundary(BoundaryOp::Begin, BoundaryLabel::DrainStage);
         let end = self.stage_drain(now);
         // Staged-but-uncommitted: killing here models a crash before
         // the `end` signal — nothing of this epoch is durable yet.
         ccnvm_mem::crashpoint::fire("drain-stage");
-        self.flight_boundary("end", "drain-stage");
+        self.flight_boundary(BoundaryOp::End, BoundaryLabel::DrainStage);
         self.commit_staged();
         // The committed epoch covers every write-back stamped so far
         // (`discard_staged` — the crash model — keeps them pending).
@@ -268,10 +268,10 @@ impl SecureMemory {
         staged.clear();
         self.staged = staged;
         self.dirty_queue.clear();
-        self.flight_boundary("begin", "root-alternate");
+        self.flight_boundary(BoundaryOp::Begin, BoundaryLabel::RootAlternate);
         self.tcb.commit_drain();
         ccnvm_mem::crashpoint::fire("root-alternate");
-        self.flight_boundary("end", "root-alternate");
+        self.flight_boundary(BoundaryOp::End, BoundaryLabel::RootAlternate);
         self.wear_root_alt();
         self.epoch_lengths.record(self.wbs_this_epoch);
         self.wbs_this_epoch = 0;

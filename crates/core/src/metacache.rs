@@ -43,6 +43,11 @@ pub struct MetaCache {
     /// Counter-region boundary, for routing.
     counter_base: u64,
     counter_end: u64,
+    /// Resident lines across both banks, kept where residency changes
+    /// so the metrics sampler's gauges are field reads, not way scans.
+    resident: usize,
+    /// Resident dirty lines across both banks, kept likewise.
+    dirty: usize,
 }
 
 impl MetaCache {
@@ -67,6 +72,8 @@ impl MetaCache {
             tree,
             counter_base,
             counter_end: counter_base + layout.counter_lines(),
+            resident: 0,
+            dirty: 0,
         }
     }
 
@@ -89,9 +96,22 @@ impl MetaCache {
         }
     }
 
-    /// Accesses `line` (see [`SetAssocCache::access`]).
+    /// Accesses `line` (see [`SetAssocCache::access`]). A write sets
+    /// the dirty bit through [`Self::mark_dirty`], which sees the bit
+    /// it replaces.
     pub fn access(&mut self, line: LineAddr, write: bool) -> AccessResult<MetaPayload> {
-        self.bank_for_mut(line).access(line, write)
+        let result = self.bank_for_mut(line).access(line, false);
+        if result.is_miss() {
+            self.resident += 1;
+        }
+        if let Some(victim) = &result.evicted {
+            self.resident -= 1;
+            self.dirty -= usize::from(victim.dirty);
+        }
+        if write {
+            self.mark_dirty(line);
+        }
+        result
     }
 
     /// Whether `line` is resident.
@@ -109,14 +129,19 @@ impl MetaCache {
         self.bank_for(line).peek_victim(line)
     }
 
-    /// Marks `line` dirty (resident lines only).
+    /// Marks `line` dirty (resident lines only), returning whether it
+    /// was resident.
     pub fn mark_dirty(&mut self, line: LineAddr) -> bool {
-        self.bank_for_mut(line).mark_dirty(line)
+        let was = self.bank_for_mut(line).set_dirty(line, true);
+        self.dirty += usize::from(was == Some(false));
+        was.is_some()
     }
 
-    /// Clears `line`'s dirty bit.
+    /// Clears `line`'s dirty bit, returning whether it was resident.
     pub fn mark_clean(&mut self, line: LineAddr) -> bool {
-        self.bank_for_mut(line).mark_clean(line)
+        let was = self.bank_for_mut(line).set_dirty(line, false);
+        self.dirty -= usize::from(was == Some(true));
+        was.is_some()
     }
 
     /// Mutable payload of a resident line.
@@ -126,7 +151,10 @@ impl MetaCache {
 
     /// Removes `line`, returning whether it was resident and dirty.
     pub fn invalidate(&mut self, line: LineAddr) -> Option<bool> {
-        self.bank_for_mut(line).invalidate(line).map(|e| e.dirty)
+        let dirty = self.bank_for_mut(line).invalidate(line)?.dirty;
+        self.resident -= 1;
+        self.dirty -= usize::from(dirty);
+        Some(dirty)
     }
 
     /// All resident dirty lines across both banks, allocation-free.
@@ -149,13 +177,23 @@ impl MetaCache {
 
     /// Total resident lines.
     pub fn len(&self) -> usize {
-        self.primary.len() + self.tree.as_ref().map_or(0, |t| t.len())
+        debug_assert_eq!(
+            self.resident,
+            self.primary.len() + self.tree.as_ref().map_or(0, |t| t.len()),
+            "resident count drifted from the banks"
+        );
+        self.resident
     }
 
     /// Resident dirty lines across both banks (the metrics sampler's
-    /// dirtiness gauge).
+    /// dirtiness gauge, and the audit's coverage target).
     pub fn dirty_len(&self) -> usize {
-        self.dirty_lines().count()
+        debug_assert_eq!(
+            self.dirty,
+            self.dirty_lines().count(),
+            "dirty count drifted from the banks"
+        );
+        self.dirty
     }
 
     /// Whether nothing is resident.
@@ -237,5 +275,54 @@ mod tests {
         assert_eq!(c.dirty_lines().count(), 0);
         assert_eq!(c.invalidate(ctr_line(&l, 3)), Some(false));
         assert!(c.is_empty());
+    }
+
+    /// The kept counts against a scan of every way in both banks.
+    fn scanned(c: &MetaCache) -> (usize, usize) {
+        let banks = || std::iter::once(&c.primary).chain(c.tree.as_ref());
+        (
+            banks().map(SetAssocCache::len).sum(),
+            banks().map(|b| b.dirty_lines().count()).sum(),
+        )
+    }
+
+    #[test]
+    fn gauges_equal_the_way_scan_under_random_ops() {
+        let l = layout();
+        // A handful of counter and tree lines over a 16-line cache, so
+        // installs keep evicting (clean and dirty victims alike).
+        let pool: Vec<LineAddr> = (0..24)
+            .map(|i| ctr_line(&l, i))
+            .chain((0..24).map(|i| l.node_line(1, i)))
+            .collect();
+        for org in [MetaCacheOrg::Shared, MetaCacheOrg::Split] {
+            let mut c = MetaCache::new(CacheConfig::new(1024, 2), org, &l);
+            let mut rng = ccnvm_rng::Rng::seed_from_u64(7);
+            for step in 0..20_000 {
+                let line = pool[rng.gen_range(0..pool.len())];
+                match rng.gen_range(0..5u32) {
+                    0 => {
+                        c.access(line, false);
+                    }
+                    1 => {
+                        c.access(line, true);
+                    }
+                    2 => {
+                        c.mark_dirty(line);
+                    }
+                    3 => {
+                        c.mark_clean(line);
+                    }
+                    _ => {
+                        c.invalidate(line);
+                    }
+                }
+                let (resident, dirty) = scanned(&c);
+                assert_eq!(c.resident, resident, "{org:?} step {step}: resident");
+                assert_eq!(c.dirty, dirty, "{org:?} step {step}: dirty");
+                assert_eq!((c.len(), c.dirty_len()), (resident, dirty));
+            }
+            assert!(!c.is_empty(), "{org:?}: the run must leave lines resident");
+        }
     }
 }

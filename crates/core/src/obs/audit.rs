@@ -351,6 +351,84 @@ mod tests {
         );
     }
 
+    /// The `DirtyCoverage` details the full way scan finds right now,
+    /// in scan order.
+    fn scanned_coverage(m: &SecureMemory) -> Vec<String> {
+        m.meta_cache
+            .dirty_lines()
+            .filter(|&line| !m.dirty_queue.contains(line))
+            .map(|line| format!("dirty {line} has no dirty-address-queue reservation"))
+            .collect()
+    }
+
+    /// The `DirtyCoverage` details the auditor recorded at cycle `at`.
+    fn recorded_coverage(m: &SecureMemory, at: Cycle) -> Vec<String> {
+        m.auditor()
+            .expect("attached")
+            .violations()
+            .iter()
+            .filter(|v| v.at == at && v.check == AuditCheck::DirtyCoverage)
+            .map(|v| v.detail.clone())
+            .collect()
+    }
+
+    /// The queue-sized coverage check may only skip the way scan when
+    /// nothing is uncovered: with no, some and all dirty lines
+    /// reserved, the recorded violations equal the full scan's in
+    /// count, order and detail.
+    #[test]
+    fn dirty_coverage_violations_match_the_full_scan() {
+        for design in DesignKind::ALL.into_iter().filter(|d| d.has_drainer()) {
+            let mut m = SecureMemory::new(SimConfig::small(design)).unwrap();
+            m.attach_auditor(AuditMode::Record);
+            let t = m.inject_dirty_queue_desync(0).unwrap();
+            let want = scanned_coverage(&m);
+            assert_eq!(
+                want.len(),
+                m.meta_cache.dirty_len(),
+                "{design}: all uncovered"
+            );
+            m.audit_now(t);
+            assert_eq!(recorded_coverage(&m, t), want, "{design}: desync");
+
+            // Write-backs to eight pages dirty eight counter lines; keep
+            // the clean reservations and every other dirty one.
+            let mut m = SecureMemory::new(SimConfig::small(design)).unwrap();
+            m.attach_auditor(AuditMode::Record);
+            let mut t = 0;
+            for page in 0..8 {
+                t = m.write_back(LineAddr(page * 64), t).unwrap();
+            }
+            let dirty: Vec<LineAddr> = m.meta_cache.dirty_lines().collect();
+            let kept: Vec<LineAddr> = m
+                .dirty_queue
+                .entries()
+                .iter()
+                .copied()
+                .filter(|&l| !m.meta_cache.is_dirty(l))
+                .chain(dirty.iter().step_by(2).copied())
+                .collect();
+            m.dirty_queue.clear();
+            assert!(m.dirty_queue.try_insert_all(&kept));
+            let want = scanned_coverage(&m);
+            assert!(
+                !want.is_empty() && want.len() < dirty.len(),
+                "{design}: some but not all dirty lines must stay covered"
+            );
+            m.audit_now(t);
+            assert_eq!(recorded_coverage(&m, t), want, "{design}: partial");
+
+            let (mut m, t) = written_memory(design);
+            assert!(m.meta_cache.dirty_len() > 0);
+            m.audit_now(t);
+            assert_eq!(
+                recorded_coverage(&m, t),
+                Vec::<String>::new(),
+                "{design}: covered"
+            );
+        }
+    }
+
     #[test]
     fn inject_helper_reports_desync() {
         let mut m = SecureMemory::new(SimConfig::small(DesignKind::CcNvm)).unwrap();

@@ -89,13 +89,21 @@ impl FlightRecorder {
         }
     }
 
-    /// Records one entry, dropping the oldest if the ring is full.
-    pub fn record(&mut self, entry: String) {
-        if self.ring.len() == self.capacity {
-            self.ring.pop_front();
+    /// Records a copy of one entry, dropping the oldest if the ring is
+    /// full. A full ring copies into the buffer of the entry it drops,
+    /// so once the ring has filled, recording allocates only for an
+    /// entry longer than any it evicts.
+    pub fn record(&mut self, entry: &str) {
+        let mut buf = if self.ring.len() == self.capacity {
             self.dropped += 1;
-        }
-        self.ring.push_back(entry);
+            let mut old = self.ring.pop_front().expect("a full ring is non-empty");
+            old.clear();
+            old
+        } else {
+            String::new()
+        };
+        buf.push_str(entry);
+        self.ring.push_back(buf);
     }
 
     /// Buffered entries, oldest first.
@@ -126,7 +134,17 @@ pub fn event_line(event: &Event) -> String {
 
 /// Builds the flight entry for a metrics sample.
 pub fn metric_line(sample: &Sample) -> String {
-    format!("{{\"flight\":\"metric\",\"data\":{}}}", sample.to_json())
+    let mut line = String::new();
+    write_metric_line(sample, &mut line);
+    line
+}
+
+/// Appends [`metric_line`] to `out`, so a sampler can build every
+/// entry in one buffer it keeps.
+pub fn write_metric_line(sample: &Sample, out: &mut String) {
+    out.push_str("{\"flight\":\"metric\",\"data\":");
+    sample.write_json(out);
+    out.push('}');
 }
 
 /// Builds the flight entry marking epoch `index` committed at `at`.
@@ -551,7 +569,7 @@ mod tests {
     use crate::config::SimConfig;
     use crate::recovery::recover;
     use crate::secmem::{DrainTrigger, SecureMemory};
-    use ccnvm_mem::{flight_boundary_line, LineAddr};
+    use ccnvm_mem::{flight_boundary_line, BoundaryLabel, BoundaryOp, LineAddr};
 
     fn lines(raw: &[&str]) -> Vec<String> {
         raw.iter().map(|s| s.to_string()).collect()
@@ -561,7 +579,7 @@ mod tests {
     fn ring_drops_oldest_and_counts() {
         let mut r = FlightRecorder::new(FlightConfig { capacity: 2 });
         for i in 0..3 {
-            r.record(epoch_line(i * 10, i));
+            r.record(&epoch_line(i * 10, i));
         }
         assert_eq!(r.len(), 2);
         assert_eq!(r.dropped(), 1);
@@ -569,12 +587,23 @@ mod tests {
     }
 
     #[test]
+    fn a_full_ring_reuses_evicted_buffers_without_leaking_their_bytes() {
+        let mut r = FlightRecorder::new(FlightConfig { capacity: 2 });
+        let long = "x".repeat(100);
+        for entry in [long.as_str(), "yy", "z", "", "wwww"] {
+            r.record(entry);
+        }
+        assert_eq!(r.entries().collect::<Vec<_>>(), ["", "wwww"]);
+        assert_eq!(r.dropped(), 3);
+    }
+
+    #[test]
     fn analyze_infers_the_innermost_open_boundary() {
         let entries = lines(&[
-            &flight_boundary_line("begin", "drain-stage"),
-            &flight_boundary_line("begin", "wpq-retire"),
-            &flight_boundary_line("end", "wpq-retire"),
-            &flight_boundary_line("begin", "wpq-retire"),
+            flight_boundary_line(BoundaryOp::Begin, BoundaryLabel::DrainStage),
+            flight_boundary_line(BoundaryOp::Begin, BoundaryLabel::WpqRetire),
+            flight_boundary_line(BoundaryOp::End, BoundaryLabel::WpqRetire),
+            flight_boundary_line(BoundaryOp::Begin, BoundaryLabel::WpqRetire),
         ]);
         let a = analyze(&entries).unwrap();
         assert_eq!(a.inferred_cause.as_deref(), Some("wpq-retire"));
@@ -587,8 +616,8 @@ mod tests {
     #[test]
     fn analyze_balanced_log_is_quiescent() {
         let entries = lines(&[
-            &flight_boundary_line("begin", "nwb-update"),
-            &flight_boundary_line("end", "nwb-update"),
+            flight_boundary_line(BoundaryOp::Begin, BoundaryLabel::NwbUpdate),
+            flight_boundary_line(BoundaryOp::End, BoundaryLabel::NwbUpdate),
             &epoch_line(5000, 0),
             &epoch_line(9000, 1),
         ]);
@@ -617,7 +646,7 @@ mod tests {
             ..Sample::default()
         };
         let entries = lines(&[
-            &flight_boundary_line("rotate", "compact"),
+            flight_boundary_line(BoundaryOp::Rotate, BoundaryLabel::Compact),
             &event_line(&drain),
             &event_line(&audit),
             &metric_line(&sample),
@@ -633,7 +662,10 @@ mod tests {
 
     #[test]
     fn analyze_tolerates_orphan_ends_and_rejects_junk() {
-        let orphan = lines(&[&flight_boundary_line("end", "manifest-swap")]);
+        let orphan = lines(&[flight_boundary_line(
+            BoundaryOp::End,
+            BoundaryLabel::ManifestSwap,
+        )]);
         let a = analyze(&orphan).unwrap();
         assert!(a.quiescent());
         assert_eq!(a.boundaries_completed, 1);
@@ -714,7 +746,11 @@ mod tests {
         assert!(!bad.staged_attribution_consistent());
 
         // An open drain-stage bracket does.
-        let a = analyze(&lines(&[&flight_boundary_line("begin", "drain-stage")])).unwrap();
+        let a = analyze(&lines(&[flight_boundary_line(
+            BoundaryOp::Begin,
+            BoundaryLabel::DrainStage,
+        )]))
+        .unwrap();
         let good = forensic_report(&image, &recovery, a, 0, "always");
         assert!(good.staged_attribution_consistent());
     }

@@ -143,23 +143,59 @@ lag_pending,lag_p99";
     /// Serializes the sample as one CSV row matching
     /// [`Sample::CSV_HEADER`].
     pub fn csv_row(&self) -> String {
-        let mut row = self.at.to_string();
-        for (_, get) in SERIES {
-            let _ = write!(row, ",{}", get(self));
-        }
+        let mut row = String::new();
+        self.write_csv_row(&mut row);
         row
+    }
+
+    /// Appends [`Sample::csv_row`] to `out`.
+    fn write_csv_row(&self, out: &mut String) {
+        push_u64(out, self.at);
+        for (_, get) in SERIES {
+            out.push(',');
+            push_u64(out, get(self));
+        }
     }
 
     /// Serializes the sample as one JSON object (no trailing newline).
     /// All values are integers, so the output is byte-stable.
     pub fn to_json(&self) -> String {
-        let mut obj = format!("{{\"at\":{}", self.at);
-        for (name, get) in SERIES {
-            let _ = write!(obj, ",\"{name}\":{}", get(self));
-        }
-        obj.push('}');
+        let mut obj = String::new();
+        self.write_json(&mut obj);
         obj
     }
+
+    /// Appends [`Sample::to_json`] to `out` — the one JSON writer
+    /// behind the JSONL export and the flight recorder's metric
+    /// entries, which build into buffers they keep.
+    pub fn write_json(&self, out: &mut String) {
+        out.push_str("{\"at\":");
+        push_u64(out, self.at);
+        for (name, get) in SERIES {
+            out.push_str(",\"");
+            out.push_str(name);
+            out.push_str("\":");
+            push_u64(out, get(self));
+        }
+        out.push('}');
+    }
+}
+
+/// Appends the decimal digits of `v` to `out` without going through
+/// `fmt` (a sample is ~17 integers, written once per export and once
+/// per flight entry).
+fn push_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"));
 }
 
 /// Bounded ring of periodic [`Sample`]s with drop accounting. Attach
@@ -252,8 +288,12 @@ impl MetricsRegistry {
     /// is visible in the artifact.
     pub fn write_csv<W: Write>(&self, out: &mut W) -> io::Result<()> {
         writeln!(out, "{}", Sample::CSV_HEADER)?;
+        let mut row = String::new();
         for sample in &self.samples {
-            writeln!(out, "{}", sample.csv_row())?;
+            row.clear();
+            sample.write_csv_row(&mut row);
+            row.push('\n');
+            out.write_all(row.as_bytes())?;
         }
         let pad = ",".repeat(Sample::CSV_HEADER.split(',').count() - 4);
         writeln!(
@@ -269,8 +309,12 @@ impl MetricsRegistry {
     /// Writes the series as JSON-lines: one object per sample plus a
     /// footer record mirroring the CSV export's accounting.
     pub fn write_jsonl<W: Write>(&self, out: &mut W) -> io::Result<()> {
+        let mut line = String::new();
         for sample in &self.samples {
-            writeln!(out, "{}", sample.to_json())?;
+            line.clear();
+            sample.write_json(&mut line);
+            line.push('\n');
+            out.write_all(line.as_bytes())?;
         }
         writeln!(
             out,
@@ -576,6 +620,23 @@ mod tests {
             dirty_queue_depth: depth,
             nvm_writes: depth * 10,
             ..Sample::default()
+        }
+    }
+
+    #[test]
+    fn integer_writer_matches_display() {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let values = (0..64).map(|i| {
+            x = x.rotate_left(7) ^ i;
+            x >> (i % 64)
+        });
+        for v in [0, 9, 10, 99, 100, 1_000_000, u64::MAX]
+            .into_iter()
+            .chain(values)
+        {
+            let mut out = String::from("k=");
+            push_u64(&mut out, v);
+            assert_eq!(out, format!("k={v}"));
         }
     }
 

@@ -19,7 +19,10 @@ use crate::secmem::SecureMemory;
 use crate::stats::{Histogram, RunStats};
 use crate::tcb::{Keys, Tcb};
 use ccnvm_mem::timing::BoundedQueue;
-use ccnvm_mem::{Cycle, DurableBackend, Line, LineAddr, LineMap, LineStore, MemController};
+use ccnvm_mem::{
+    BoundaryLabel, BoundaryOp, Cycle, DurableBackend, Line, LineAddr, LineMap, LineStore,
+    MemController,
+};
 
 /// The NVM-side value state of a [`SecureMemory`]: the two off-chip
 /// layers plus the simulator's data-version shadow.
@@ -55,20 +58,20 @@ impl NvmState {
     /// Persists a metadata line into durable NVM (and removes any
     /// stale overlay copy so runtime reads stay coherent).
     pub(crate) fn persist_meta(&mut self, line: LineAddr, content: Line) {
-        self.flight_boundary("begin", "wpq-retire");
+        self.flight_boundary(BoundaryOp::Begin, BoundaryLabel::WpqRetire);
         self.durable.store(line, content);
         self.overlay.erase(line);
         ccnvm_mem::crashpoint::fire("wpq-retire");
-        self.flight_boundary("end", "wpq-retire");
+        self.flight_boundary(BoundaryOp::End, BoundaryLabel::WpqRetire);
     }
 
     /// Persists a data or data-HMAC line (no overlay interaction —
     /// those regions never shadow).
     pub(crate) fn persist_data(&mut self, line: LineAddr, content: Line) {
-        self.flight_boundary("begin", "wpq-retire");
+        self.flight_boundary(BoundaryOp::Begin, BoundaryLabel::WpqRetire);
         self.durable.store(line, content);
         ccnvm_mem::crashpoint::fire("wpq-retire");
-        self.flight_boundary("end", "wpq-retire");
+        self.flight_boundary(BoundaryOp::End, BoundaryLabel::WpqRetire);
     }
 
     /// Writes one flight boundary bracket straight to the durable
@@ -76,7 +79,7 @@ impl NvmState {
     /// [`SecureMemory`], so WPQ-retire brackets live only in
     /// `flight.log` — the crash-persistent half, which is the one
     /// forensics reads.
-    fn flight_boundary(&mut self, op: &str, label: &str) {
+    fn flight_boundary(&mut self, op: BoundaryOp, label: BoundaryLabel) {
         if !self.durable.flight_enabled() {
             return;
         }
@@ -148,6 +151,7 @@ impl SecureMemory {
             recorder: None,
             profiler: None,
             metrics: None,
+            metric_scratch: String::new(),
             auditor: None,
             flight: None,
             wear: None,

@@ -59,7 +59,7 @@ use crate::tcb::Tcb;
 use ccnvm_crypto::latency::AES_LATENCY_CYCLES;
 use ccnvm_crypto::Mac128;
 use ccnvm_mem::timing::BoundedQueue;
-use ccnvm_mem::{Cycle, Line, LineAddr, LineStore, MemController};
+use ccnvm_mem::{BoundaryLabel, BoundaryOp, Cycle, Line, LineAddr, LineStore, MemController};
 
 /// Why a drain was triggered (§4.2 lists the first three).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -161,6 +161,8 @@ pub struct SecureMemory {
     /// [`crate::obs::metrics`]); same zero-cost-when-off contract as
     /// the recorder.
     pub(crate) metrics: Option<Box<crate::obs::metrics::MetricsRegistry>>,
+    /// Reusable buffer the sampler builds each metric flight entry in.
+    pub(crate) metric_scratch: String,
     /// Optional runtime invariant auditor (see [`crate::obs::audit`]);
     /// same zero-cost-when-off contract as the recorder.
     pub(crate) auditor: Option<Box<crate::obs::audit::Auditor>>,
@@ -382,17 +384,26 @@ impl SecureMemory {
 
     /// Takes a [`Sample`](crate::obs::metrics::Sample) if one is due at
     /// simulated time `now`. Detached (or between boundaries) this is
-    /// a single branch. All gauges derive from simulated state, so the
-    /// series is byte-identical across host thread counts and HMAC
-    /// modes.
+    /// a single inlined branch; the sampler itself stays out of line.
+    /// All gauges derive from simulated state, so the series is
+    /// byte-identical across host thread counts and HMAC modes.
+    #[inline]
     pub(crate) fn maybe_sample_metrics(&mut self, now: Cycle) {
-        let Some(m) = self.metrics.as_deref() else {
-            return;
-        };
-        if !m.is_due(now) {
-            return;
+        if self.metrics.as_deref().is_some_and(|m| m.is_due(now)) {
+            self.sample_metrics(now);
         }
-        let at = m.boundary(now);
+    }
+
+    /// Records the sample due at `now` into the registry and, when a
+    /// flight sink is live, mirrors it as a flight entry built in a
+    /// buffer kept between samples.
+    #[inline(never)]
+    fn sample_metrics(&mut self, now: Cycle) {
+        let at = self
+            .metrics
+            .as_deref()
+            .expect("gated by maybe_sample_metrics")
+            .boundary(now);
         let ppm = |n: u64, d: u64| {
             if d == 0 {
                 0
@@ -439,8 +450,11 @@ impl SecureMemory {
             .expect("checked above")
             .record(sample);
         if self.flight_active() {
-            let line = crate::obs::flight::metric_line(&sample);
+            let mut line = std::mem::take(&mut self.metric_scratch);
+            line.clear();
+            crate::obs::flight::write_metric_line(&sample, &mut line);
             self.flight_note(&line);
+            self.metric_scratch = line;
         }
     }
 
@@ -476,7 +490,7 @@ impl SecureMemory {
     /// Records one prebuilt flight entry into every live sink.
     pub(crate) fn flight_note(&mut self, line: &str) {
         if let Some(f) = self.flight.as_deref_mut() {
-            f.record(line.to_string());
+            f.record(line);
         }
         self.nvm.durable.flight_append(line.as_bytes());
     }
@@ -498,12 +512,11 @@ impl SecureMemory {
     /// unmatched — that ordering is what makes the forensic cause
     /// inference sound.
     #[inline]
-    pub(crate) fn flight_boundary(&mut self, op: &str, label: &str) {
+    pub(crate) fn flight_boundary(&mut self, op: BoundaryOp, label: BoundaryLabel) {
         if !self.flight_active() {
             return;
         }
-        let line = ccnvm_mem::flight_boundary_line(op, label);
-        self.flight_note(&line);
+        self.flight_note(ccnvm_mem::flight_boundary_line(op, label));
     }
 
     // ----- invariant auditor ------------------------------------------
@@ -550,7 +563,7 @@ impl SecureMemory {
             return;
         }
         let mut found: Vec<(AuditCheck, String)> = Vec::new();
-        if self.config.design.has_drainer() {
+        if self.config.design.has_drainer() && !self.dirty_lines_covered() {
             for line in self.meta_cache.dirty_lines() {
                 if !self.dirty_queue.contains(line) {
                     found.push((
@@ -611,6 +624,22 @@ impl SecureMemory {
         }
     }
 
+    /// Whether every dirty Meta Cache line holds a dirty-address-queue
+    /// reservation, checked in queue-sized time: the queue's entries
+    /// are distinct, so when as many of them are dirty as there are
+    /// dirty lines, they are exactly the dirty lines. Only a shortfall
+    /// makes [`Self::audit_check`] scan the ways to name the uncovered
+    /// lines.
+    fn dirty_lines_covered(&self) -> bool {
+        let reserved_dirty = self
+            .dirty_queue
+            .entries()
+            .iter()
+            .filter(|&&line| self.meta_cache.is_dirty(line))
+            .count();
+        reserved_dirty == self.meta_cache.dirty_len()
+    }
+
     /// Deliberately desynchronizes the dirty address queue from the
     /// Meta Cache (drainer designs): performs write-backs until
     /// on-chip metadata is dirty, then clears the queue behind the
@@ -625,7 +654,7 @@ impl SecureMemory {
         let mut t = now;
         for i in 0..4 {
             t = self.write_back(LineAddr(i), t)?;
-            if self.meta_cache.dirty_lines().next().is_some() {
+            if self.meta_cache.dirty_len() > 0 {
                 break;
             }
         }

@@ -50,6 +50,7 @@ use crate::obs::profile::SpanProfiler;
 use crate::sim::Simulator;
 use crate::stats::RunStats;
 use ccnvm_mem::addr::LINES_PER_PAGE;
+use ccnvm_mem::{BoundaryLabel, BoundaryOp};
 use ccnvm_trace::TraceOp;
 
 /// Request router in front of N independent secure-memory shards.
@@ -352,7 +353,7 @@ impl ShardRouter {
         // signal — exactly the state an open `drain-stage` bracket
         // records, so the per-shard forensics can attribute the
         // staged-lines loss to this shard.
-        mem.flight_boundary("begin", "drain-stage");
+        mem.flight_boundary(BoundaryOp::Begin, BoundaryLabel::DrainStage);
         mem.stage_drain(now);
     }
 

@@ -263,7 +263,7 @@ impl Simulator {
         dirty.clear();
         dirty.extend(self.l1.dirty_lines());
         for &line in &dirty {
-            self.l1.mark_clean(line);
+            self.l1.set_dirty(line, false);
             // Installing the L1 victim can displace an L2 line; a dirty
             // displaced line must reach the secure engine right here —
             // it is no longer resident anywhere, so the L2 sweep below
@@ -280,7 +280,7 @@ impl Simulator {
         dirty.extend(self.l2.dirty_lines());
         dirty.sort_unstable();
         for &line in &dirty {
-            self.l2.mark_clean(line);
+            self.l2.set_dirty(line, false);
             self.write_back(line)?;
         }
         dirty.clear();

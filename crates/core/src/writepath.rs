@@ -25,7 +25,7 @@ use crate::obs;
 use crate::secmem::{pattern, DrainTrigger, SecureMemory};
 use crate::view::{MetaSource, MetaView};
 use ccnvm_crypto::latency::{AES_LATENCY_CYCLES, DIRTY_QUEUE_LOOKUP_CYCLES, HMAC_LATENCY_CYCLES};
-use ccnvm_mem::{Cycle, DurableBackend, Line, LineAddr, LineStore};
+use ccnvm_mem::{BoundaryLabel, BoundaryOp, Cycle, DurableBackend, Line, LineAddr, LineStore};
 
 /// Chip-over-NVM metadata view used by full-path tree updates.
 struct ChipView<'a> {
@@ -387,7 +387,7 @@ impl SecureMemory {
         // would disagree with `N_wb` after a legal power failure.
         match eager_root {
             Some(root) => {
-                self.flight_boundary("begin", "root-alternate");
+                self.flight_boundary(BoundaryOp::Begin, BoundaryLabel::RootAlternate);
                 self.tcb.root_new = root;
                 if !self.design().has_drainer() {
                     // SC and Osiris Plus persist the root atomically
@@ -395,14 +395,14 @@ impl SecureMemory {
                     self.tcb.root_old = root;
                 }
                 ccnvm_mem::crashpoint::fire("root-alternate");
-                self.flight_boundary("end", "root-alternate");
+                self.flight_boundary(BoundaryOp::End, BoundaryLabel::RootAlternate);
                 self.wear_root_alt();
             }
             None => {
-                self.flight_boundary("begin", "nwb-update");
+                self.flight_boundary(BoundaryOp::Begin, BoundaryLabel::NwbUpdate);
                 self.tcb.nwb += 1;
                 ccnvm_mem::crashpoint::fire("nwb-update");
-                self.flight_boundary("end", "nwb-update");
+                self.flight_boundary(BoundaryOp::End, BoundaryLabel::NwbUpdate);
                 self.wear_nwb();
             }
         }

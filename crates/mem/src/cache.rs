@@ -222,27 +222,14 @@ impl<T> SetAssocCache<T> {
             .map(|w| &mut w.payload)
     }
 
-    /// Clears `line`'s dirty bit (after a write-back), returning whether
-    /// the line was resident.
-    pub fn mark_clean(&mut self, line: LineAddr) -> bool {
+    /// Sets a resident `line`'s dirty bit to `dirty` without touching
+    /// LRU order, returning the bit it replaced — `None` if the line is
+    /// absent (nothing is inserted). The previous bit lets a caller
+    /// keep a dirty-line count without scanning the sets.
+    pub fn set_dirty(&mut self, line: LineAddr, dirty: bool) -> Option<bool> {
         let idx = self.set_index(line);
-        if let Some(w) = self.sets[idx].iter_mut().find(|w| w.addr == line) {
-            w.dirty = false;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Marks a resident `line` dirty without touching LRU order.
-    pub fn mark_dirty(&mut self, line: LineAddr) -> bool {
-        let idx = self.set_index(line);
-        if let Some(w) = self.sets[idx].iter_mut().find(|w| w.addr == line) {
-            w.dirty = true;
-            true
-        } else {
-            false
-        }
+        let w = self.sets[idx].iter_mut().find(|w| w.addr == line)?;
+        Some(std::mem::replace(&mut w.dirty, dirty))
     }
 
     /// The victim an `access(line, …)` miss would evict right now:
@@ -368,8 +355,9 @@ mod tests {
         let mut c = tiny();
         c.access(LineAddr(0), true);
         assert!(c.is_dirty(LineAddr(0)));
-        assert!(c.mark_clean(LineAddr(0)));
+        assert_eq!(c.set_dirty(LineAddr(0), false), Some(true));
         assert!(!c.is_dirty(LineAddr(0)));
+        assert_eq!(c.set_dirty(LineAddr(0), false), Some(false));
         assert!(c.contains(LineAddr(0)));
     }
 
@@ -452,12 +440,21 @@ mod tests {
     #[test]
     fn mark_clean_and_dirty_on_absent_lines() {
         let mut c = tiny();
-        assert!(!c.mark_clean(LineAddr(7)), "absent line cannot be cleaned");
-        assert!(!c.mark_dirty(LineAddr(7)), "absent line cannot be dirtied");
+        assert_eq!(
+            c.set_dirty(LineAddr(7), false),
+            None,
+            "absent line cannot be cleaned"
+        );
+        assert_eq!(
+            c.set_dirty(LineAddr(7), true),
+            None,
+            "absent line cannot be dirtied"
+        );
         assert!(!c.contains(LineAddr(7)), "marking must not insert");
         c.access(LineAddr(0), false);
-        assert!(c.mark_dirty(LineAddr(0)));
+        assert_eq!(c.set_dirty(LineAddr(0), true), Some(false));
         assert!(c.is_dirty(LineAddr(0)));
+        assert_eq!(c.set_dirty(LineAddr(0), true), Some(true));
         // A line evicted from its set is absent again.
         c.access(LineAddr(1), false);
         c.access(LineAddr(2), false);
@@ -466,8 +463,8 @@ mod tests {
         } else {
             LineAddr(0)
         };
-        assert!(!c.mark_dirty(gone));
-        assert!(!c.mark_clean(gone));
+        assert_eq!(c.set_dirty(gone, true), None);
+        assert_eq!(c.set_dirty(gone, false), None);
     }
 
     #[test]

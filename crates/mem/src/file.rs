@@ -267,13 +267,54 @@ const CRC_TABLE: [u32; 256] = {
     table
 };
 
-/// CRC-32 (ISO-HDLC polynomial, the zlib/`crc32fast` flavour),
-/// bit-reflected, init and xorout `0xFFFF_FFFF`. Table-driven: every
-/// commit record, flight entry and manifest load runs it.
-fn crc32(data: &[u8]) -> u32 {
-    !data.iter().fold(0xFFFF_FFFFu32, |crc, &byte| {
+/// Slicing-by-8 tables derived from [`CRC_TABLE`]: `CRC_SLICES[k][b]`
+/// is the CRC register contribution of byte `b` followed by `k` zero
+/// bytes, so eight table reads fold eight input bytes at once.
+const CRC_SLICES: [[u32; 256]; 8] = {
+    let mut slices = [[0u32; 256]; 8];
+    slices[0] = CRC_TABLE;
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = slices[k - 1][i];
+            slices[k][i] = (prev >> 8) ^ CRC_TABLE[(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    slices
+};
+
+/// Folds `data` into the CRC register one byte at a time: the tail of
+/// fewer than eight bytes that [`crc32`] cannot slice.
+fn crc32_bytes(crc: u32, data: &[u8]) -> u32 {
+    data.iter().fold(crc, |crc, &byte| {
         CRC_TABLE[((crc ^ u32::from(byte)) & 0xFF) as usize] ^ (crc >> 8)
     })
+}
+
+/// CRC-32 (ISO-HDLC polynomial, the zlib/`crc32fast` flavour),
+/// bit-reflected, init and xorout `0xFFFF_FFFF`. Every commit record,
+/// flight frame and manifest load runs it, so it folds eight bytes per
+/// step through [`CRC_SLICES`] and only the tail byte by byte.
+fn crc32(data: &[u8]) -> u32 {
+    let mut chunks = data.chunks_exact(8);
+    let mut crc = 0xFFFF_FFFFu32;
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        let t = &CRC_SLICES;
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    !crc32_bytes(crc, chunks.remainder())
 }
 
 /// The file-backed durable store. See the module docs for the on-disk
@@ -502,7 +543,9 @@ impl FileBackend {
             self.io_panic("rotate the flight log", e);
         }
         self.flight_pending.clear();
-        self.encode_flight(flight_boundary_line("rotate", "compact").as_bytes());
+        self.encode_flight(
+            flight_boundary_line(BoundaryOp::Rotate, BoundaryLabel::Compact).as_bytes(),
+        );
         self.flush_flight();
     }
 
@@ -510,13 +553,13 @@ impl FileBackend {
     /// `always` the entry is fsynced before this returns, so a kill at
     /// the bracketed crash point leaves an unmatched `begin` — the
     /// forensic analyzer's cause signal.
-    fn flight_begin(&mut self, label: &str) {
-        self.flight_append(flight_boundary_line("begin", label).as_bytes());
+    fn flight_begin(&mut self, label: BoundaryLabel) {
+        self.flight_append(flight_boundary_line(BoundaryOp::Begin, label).as_bytes());
     }
 
     /// Emits the completion half of a boundary bracket.
-    fn flight_end(&mut self, label: &str) {
-        self.flight_append(flight_boundary_line("end", label).as_bytes());
+    fn flight_end(&mut self, label: BoundaryLabel) {
+        self.flight_append(flight_boundary_line(BoundaryOp::End, label).as_bytes());
     }
 
     /// Applies the fsync strategy at a safe point (never inside an
@@ -559,12 +602,12 @@ impl FileBackend {
         if let Err(e) = self.write_manifest() {
             self.io_panic("swap the manifest", e);
         }
-        self.flight_begin("manifest-swap");
+        self.flight_begin(BoundaryLabel::ManifestSwap);
         if let Err(e) = self.log.set_len(0).and_then(|()| self.log.sync_data()) {
             self.io_panic("truncate the compacted log", e);
         }
         crashpoint::fire("manifest-swap");
-        self.flight_end("manifest-swap");
+        self.flight_end(BoundaryLabel::ManifestSwap);
         self.records_since_compact = 0;
         self.counters.add(&self.counters.compactions, 1);
         self.rotate_flight();
@@ -573,7 +616,7 @@ impl FileBackend {
     /// Writes `manifest.tmp`, fsyncs it, renames it over `manifest`
     /// and fsyncs the directory — the atomic-replace idiom.
     fn write_manifest(&mut self) -> std::io::Result<()> {
-        self.flight_begin("manifest-swap");
+        self.flight_begin(BoundaryLabel::ManifestSwap);
         let mut addrs: Vec<LineAddr> = self.mirror.iter().map(|(l, _)| l).collect();
         addrs.sort_unstable();
         let bytes = encode_manifest(
@@ -595,7 +638,7 @@ impl FileBackend {
             let _ = d.sync_all();
         }
         crashpoint::fire("manifest-swap");
-        self.flight_end("manifest-swap");
+        self.flight_end(BoundaryLabel::ManifestSwap);
         Ok(())
     }
 }
@@ -691,12 +734,78 @@ pub fn read_flight_log(dir: impl AsRef<Path>) -> Result<(Vec<String>, u64), File
     Ok((entries, (bytes.len() - valid) as u64))
 }
 
-/// The boundary-bracket flight entry: `op` is `begin`, `end` or
-/// `rotate`; `label` names the crash point the bracket straddles.
-/// Shared by the backend's own manifest-swap brackets and the engine's
+/// Which half of a boundary bracket an entry is: the intent (`begin`)
+/// or completion (`end`) of a crash point's action, or the marker a
+/// sidecar rotation stamps (`rotate`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BoundaryOp {
+    /// `begin`: durable before the bracketed action runs.
+    Begin,
+    /// `end`: written once the action's kill point has passed.
+    End,
+    /// `rotate`: the sidecar was truncated by a compaction.
+    Rotate,
+}
+
+/// The crash point a boundary bracket straddles.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BoundaryLabel {
+    /// `wpq-retire`: one line leaves the WPQ for the durable image.
+    WpqRetire,
+    /// `drain-stage`: a drain stages its lines.
+    DrainStage,
+    /// `root-alternate`: the root registers alternate.
+    RootAlternate,
+    /// `nwb-update`: the `N_wb` register advances.
+    NwbUpdate,
+    /// `manifest-swap`: a compaction swaps the manifest.
+    ManifestSwap,
+    /// `compact`: the label of a rotation marker.
+    Compact,
+}
+
+/// Builds one row of [`BOUNDARY_LINES`]: `op` against every label, in
+/// [`BoundaryLabel`] order.
+macro_rules! boundary_row {
+    ($op:literal) => {
+        boundary_row!(
+            $op,
+            [
+                "wpq-retire",
+                "drain-stage",
+                "root-alternate",
+                "nwb-update",
+                "manifest-swap",
+                "compact"
+            ]
+        )
+    };
+    ($op:literal, [$($label:literal),*]) => {
+        [$(concat!(
+            "{\"flight\":\"boundary\",\"op\":\"",
+            $op,
+            "\",\"label\":\"",
+            $label,
+            "\"}"
+        )),*]
+    };
+}
+
+/// Every boundary-bracket entry, indexed by [`BoundaryOp`] then
+/// [`BoundaryLabel`]: the closed op × label set, spelled out at
+/// compile time so a bracket costs a table read, not a `format!`.
+const BOUNDARY_LINES: [[&str; 6]; 3] = [
+    boundary_row!("begin"),
+    boundary_row!("end"),
+    boundary_row!("rotate"),
+];
+
+/// The boundary-bracket flight entry
+/// `{"flight":"boundary","op":OP,"label":LABEL}`. Shared by the
+/// backend's own manifest-swap brackets and the engine's
 /// persist-boundary hooks so the forensic analyzer sees one grammar.
-pub fn flight_boundary_line(op: &str, label: &str) -> String {
-    format!("{{\"flight\":\"boundary\",\"op\":\"{op}\",\"label\":\"{label}\"}}")
+pub fn flight_boundary_line(op: BoundaryOp, label: BoundaryLabel) -> &'static str {
+    BOUNDARY_LINES[op as usize][label as usize]
 }
 
 struct Replay {
@@ -1024,6 +1133,61 @@ mod tests {
             .collect();
         for len in [0, 1, 7, 64, 73, 4096] {
             assert_eq!(crc32(&data[..len]), bitwise(&data[..len]), "len {len}");
+            assert_eq!(
+                crc32_bytewise(&data[..len]),
+                bitwise(&data[..len]),
+                "len {len}"
+            );
+        }
+    }
+
+    /// The byte-at-a-time CRC the sliced one replaced: the oracle.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        !crc32_bytes(0xFFFF_FFFF, data)
+    }
+
+    #[test]
+    fn sliced_crc32_matches_the_bytewise_oracle() {
+        let data: Vec<u8> = (0..320u32)
+            .map(|i| (i.wrapping_mul(2_246_822_519) >> 11) as u8)
+            .collect();
+        for start in 0..8 {
+            for len in 0..=300 {
+                let slice = &data[start..start + len];
+                assert_eq!(
+                    crc32(slice),
+                    crc32_bytewise(slice),
+                    "start {start} len {len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn boundary_table_spells_every_op_and_label() {
+        use BoundaryLabel::*;
+        let ops = [
+            (BoundaryOp::Begin, "begin"),
+            (BoundaryOp::End, "end"),
+            (BoundaryOp::Rotate, "rotate"),
+        ];
+        let labels = [
+            (WpqRetire, "wpq-retire"),
+            (DrainStage, "drain-stage"),
+            (RootAlternate, "root-alternate"),
+            (NwbUpdate, "nwb-update"),
+            (ManifestSwap, "manifest-swap"),
+            (Compact, "compact"),
+        ];
+        for (op, op_name) in ops {
+            for (label, label_name) in labels {
+                assert_eq!(
+                    flight_boundary_line(op, label),
+                    format!(
+                        "{{\"flight\":\"boundary\",\"op\":\"{op_name}\",\"label\":\"{label_name}\"}}"
+                    )
+                );
+            }
         }
     }
 

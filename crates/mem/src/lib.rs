@@ -54,8 +54,8 @@ pub use controller::{
     MemController, MemControllerConfig, MemStats, QueueEvent, QueueKind, QueueRecorder, WearStats,
 };
 pub use file::{
-    flight_boundary_line, read_flight_log, FileBackend, FileBackendConfig, FileBackendError,
-    FileIoCounters, FileIoStats, FsyncStrategy,
+    flight_boundary_line, read_flight_log, BoundaryLabel, BoundaryOp, FileBackend,
+    FileBackendConfig, FileBackendError, FileIoCounters, FileIoStats, FsyncStrategy,
 };
 pub use linemap::{LineMap, LineSet};
 pub use store::{Line, LineStore};
