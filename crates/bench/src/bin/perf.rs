@@ -9,24 +9,20 @@
 //! Unlike the figure binaries (which reproduce the *simulated*
 //! evaluation), this one measures how fast the simulator itself runs
 //! the secure-memory hot paths, so every future change has a perf
-//! trajectory to compare against. Each workload runs three times:
+//! trajectory to compare against. Each workload runs twice:
 //!
-//! * `legacy`   — `SimConfig::legacy_hmac = true`: the pre-optimization
-//!   rekey-per-MAC HMAC path (bit-identical output, original cost);
-//! * `midstate` — the keyed [`ccnvm_crypto::HmacEngine`] fast path,
-//!   pinned to the portable crypto tier;
-//! * `simd`     — the same fast path under `--crypto auto`: multi-lane
-//!   SHA-1 batches, SHA-NI single-block compression and AES-NI where
-//!   the host has them (the `tier` column records what actually ran).
+//! * `midstate` — the keyed [`ccnvm_crypto::HmacEngine`], pinned to
+//!   the portable crypto tier;
+//! * `simd`     — the same engine on the tier `auto` resolves to:
+//!   SHA-NI compression and AES-NI where the host has them (the `tier`
+//!   column records what actually ran).
 //!
-//! The `speedup` map reports `legacy / midstate` and
-//! `midstate / simd` (as `<name>_simd`) time per operation.
-//! A counting global allocator tracks heap allocations inside the
-//! timed regions (`allocs_per_op`), making hot-path allocation
-//! regressions visible. Recovery rebuilds its engine from the crash
-//! image and ignores `legacy_hmac`, so it is reported per crypto tier
-//! only, with a reused [`ccnvm::recovery::RecoveryScratch`] and an
-//! asserted allocation ceiling.
+//! The `speedup` map reports `midstate / simd` time per operation as
+//! `<name>_simd`. A counting global allocator tracks heap allocations
+//! inside the timed regions (`allocs_per_op`), making hot-path
+//! allocation regressions visible. Recovery runs with a reused
+//! [`ccnvm::recovery::RecoveryScratch`] and an asserted allocation
+//! ceiling.
 
 use ccnvm::prelude::*;
 use ccnvm::recovery::{recover_with, RecoveryScratch};
@@ -140,23 +136,20 @@ fn run_sample<St>(
     }
 }
 
-fn config(design: DesignKind, legacy: bool, crypto: CryptoSelect) -> SimConfig {
+fn config(design: DesignKind, crypto: CryptoSelect) -> SimConfig {
     let mut c = SimConfig::paper(design);
-    c.legacy_hmac = legacy;
-    // `Auto` defers to CCNVM_CRYPTO, so CI can force a whole bench run
-    // onto one tier; explicit selections (the pinned portable
-    // baselines) always win.
-    c.crypto = crypto.from_env_or();
+    c.crypto = crypto;
     c
 }
 
 /// The tier a selection actually runs on this host/build.
+fn resolve(crypto: CryptoSelect) -> CryptoTier {
+    crypto.resolve().expect("auto/portable always resolve")
+}
+
+/// [`resolve`]'s tier as the report labels it.
 fn tier_name(crypto: CryptoSelect) -> &'static str {
-    match crypto
-        .from_env_or()
-        .resolve()
-        .expect("auto/portable always resolve")
-    {
+    match resolve(crypto) {
         CryptoTier::Portable => "portable",
         CryptoTier::Simd => "simd",
     }
@@ -183,27 +176,21 @@ fn stat_delta(m: &SecureMemory, before: &RunStats) -> (u64, u64) {
     (s.hmacs - before.hmacs, s.aes_ops - before.aes_ops)
 }
 
-/// `(legacy_hmac, crypto tier selection)` for one variant row.
-type Variant = (bool, CryptoSelect);
-
-/// The three variants every workload runs: the rekey-per-MAC legacy
-/// path, the portable midstate path, and whatever `auto` picks on
-/// this host (SIMD lanes + SHA-NI/AES-NI where present).
-const VARIANTS: [(&str, Variant); 3] = [
-    ("legacy", (true, CryptoSelect::Portable)),
-    ("midstate", (false, CryptoSelect::Portable)),
-    ("simd", (false, CryptoSelect::Auto)),
+/// The two variants every workload runs: the portable tier, and
+/// whatever `auto` picks on this host (SHA-NI/AES-NI where present).
+const VARIANTS: [(&str, CryptoSelect); 2] = [
+    ("midstate", CryptoSelect::Portable),
+    ("simd", CryptoSelect::Auto),
 ];
 
 fn bench_write_back(
     name: &'static str,
     design: DesignKind,
     variant: &'static str,
-    sel: Variant,
+    crypto: CryptoSelect,
     target_ns: u128,
     ops: u64,
 ) -> Sample {
-    let (legacy, crypto) = sel;
     run_sample(
         name,
         variant,
@@ -214,7 +201,7 @@ fn bench_write_back(
             // Warm up untimed: first-touch growth of the backing maps
             // and caches happens here, so the timed region measures the
             // steady-state hot path.
-            let mut m = SecureMemory::new(config(design, legacy, crypto)).expect("paper config");
+            let mut m = SecureMemory::new(config(design, crypto)).expect("paper config");
             for i in 0..ops {
                 m.write_back(addr(i, WB_PAGES), i * 400)
                     .expect("attack-free run");
@@ -234,8 +221,7 @@ fn bench_write_back(
     )
 }
 
-fn bench_read(variant: &'static str, sel: Variant, target_ns: u128, ops: u64) -> Sample {
-    let (legacy, crypto) = sel;
+fn bench_read(variant: &'static str, crypto: CryptoSelect, target_ns: u128, ops: u64) -> Sample {
     run_sample(
         "read",
         variant,
@@ -243,8 +229,7 @@ fn bench_read(variant: &'static str, sel: Variant, target_ns: u128, ops: u64) ->
         target_ns,
         ops,
         || {
-            let mut m =
-                SecureMemory::new(config(DesignKind::CcNvm, legacy, crypto)).expect("paper config");
+            let mut m = SecureMemory::new(config(DesignKind::CcNvm, crypto)).expect("paper config");
             for i in 0..256u64 {
                 m.write_back(addr(i, 64), i * 400).expect("attack-free run");
             }
@@ -263,8 +248,12 @@ fn bench_read(variant: &'static str, sel: Variant, target_ns: u128, ops: u64) ->
     )
 }
 
-fn bench_drain(variant: &'static str, sel: Variant, target_ns: u128, epochs: u64) -> Sample {
-    let (legacy, crypto) = sel;
+fn bench_drain(
+    variant: &'static str,
+    crypto: CryptoSelect,
+    target_ns: u128,
+    epochs: u64,
+) -> Sample {
     let epoch = |m: &mut SecureMemory, e: u64, now: &mut u64| {
         // One epoch: a handful of write-backs, then the external
         // end-signal drain that stages and commits the dirty metadata.
@@ -289,8 +278,7 @@ fn bench_drain(variant: &'static str, sel: Variant, target_ns: u128, epochs: u64
             // period 64, so the timed epochs below revisit exactly
             // this working set and the timed region is the pure
             // steady-state drain path.
-            let mut m =
-                SecureMemory::new(config(DesignKind::CcNvm, legacy, crypto)).expect("paper config");
+            let mut m = SecureMemory::new(config(DesignKind::CcNvm, crypto)).expect("paper config");
             let mut now = 0u64;
             for e in 0..epochs {
                 epoch(&mut m, e, &mut now);
@@ -311,7 +299,7 @@ fn bench_drain(variant: &'static str, sel: Variant, target_ns: u128, epochs: u64
 /// line-store clone (which becomes the recovered image), the layout's
 /// two level tables, the per-level default nodes and the three-span
 /// timeline remain — everything else (address walks, retry
-/// bookkeeping, rebuild levels, MAC batches) comes from the scratch.
+/// bookkeeping, rebuild levels) comes from the scratch.
 /// The seed measured 32 allocs/op (~50 KB/op); the scratch pass
 /// measures 5. The ceiling leaves headroom for map-growth jitter only.
 const RECOVERY_ALLOC_CEILING: f64 = 8.0;
@@ -322,13 +310,9 @@ fn bench_recovery(
     target_ns: u128,
     ops: u64,
 ) -> Sample {
-    let tier = crypto
-        .from_env_or()
-        .resolve()
-        .expect("auto/portable always resolve");
+    let tier = resolve(crypto);
     let image = {
-        let mut m =
-            SecureMemory::new(config(DesignKind::CcNvm, false, crypto)).expect("paper config");
+        let mut m = SecureMemory::new(config(DesignKind::CcNvm, crypto)).expect("paper config");
         for i in 0..128u64 {
             m.write_back(addr(i, 64), i * 400).expect("attack-free run");
         }
@@ -456,12 +440,11 @@ fn main() {
         );
     };
 
-    let mut all = |name: &'static str, f: &dyn Fn(&'static str, Variant) -> Sample| {
+    let mut all = |name: &'static str, f: &dyn Fn(&'static str, CryptoSelect) -> Sample| {
         let rows: Vec<Sample> = VARIANTS.iter().map(|&(v, sel)| f(v, sel)).collect();
-        speedups.push((name.to_owned(), rows[0].ns_per_op / rows[1].ns_per_op));
         speedups.push((
             format!("{name}_simd"),
-            rows[1].ns_per_op / rows[2].ns_per_op,
+            rows[0].ns_per_op / rows[1].ns_per_op,
         ));
         for s in rows {
             print_row(&s);
@@ -485,8 +468,6 @@ fn main() {
     all("read", &|v, sel| bench_read(v, sel, target_ns, rd_ops));
     all("drain", &|v, sel| bench_drain(v, sel, target_ns, epochs));
 
-    // Recovery ignores `legacy_hmac` (its engine always rebuilds from
-    // the crash image in midstate mode), so it runs once per tier.
     let rec_portable = bench_recovery("midstate", CryptoSelect::Portable, target_ns, rec_ops);
     let rec_simd = bench_recovery("simd", CryptoSelect::Auto, target_ns, rec_ops);
     speedups.push((
@@ -514,7 +495,7 @@ fn main() {
         }
     }
 
-    println!("\nspeedup (legacy / midstate, and `_simd` = midstate / simd, time per op):");
+    println!("\nspeedup (midstate / simd, time per op):");
     for (name, v) in &speedups {
         println!("  {name:<20} {v:.2}x");
     }

@@ -15,7 +15,6 @@
 
 use ccnvm::config::DesignKind;
 use ccnvm::obs::audit::AuditMode;
-use ccnvm_crypto::CryptoSelect;
 use ccnvm_mem::FsyncStrategy;
 use std::fmt;
 
@@ -94,10 +93,6 @@ pub struct RunArgs {
     /// Flush/fsync policy for the file backend (`--fsync always |
     /// batch:<n> | interval:<cycles>`). Ignored for `mem`.
     pub fsync: FsyncStrategy,
-    /// Crypto implementation tier (`--crypto auto | portable | simd`).
-    /// Bit-identical output across tiers; only wall-clock speed
-    /// changes. Defers to `CCNVM_CRYPTO` when the flag is absent.
-    pub crypto: CryptoSelect,
     /// Attach the flight recorder: an in-process ring of recent flight
     /// entries, mirrored into the file backend's durable `flight.log`
     /// sidecar when `--backend file:` is in use. `forensics` forces
@@ -148,7 +143,6 @@ impl Default for RunArgs {
             shards: 1,
             backend: BackendChoice::Mem,
             fsync: FsyncStrategy::Always,
-            crypto: CryptoSelect::Auto,
             flight: false,
             forensics_out: None,
             strict: false,
@@ -252,10 +246,6 @@ OPTIONS:
                       with --shards > 1)
   --fsync S           file-backend flush policy:
                       always | batch:<n> | interval:<cycles>          [always]
-  --crypto T          crypto tier: auto | portable | simd             [auto]
-                      (bit-identical output; simd errors out when the
-                      build/host has no hardware path; falls back to the
-                      CCNVM_CRYPTO env var when the flag is absent)
   --flight            attach the flight recorder (with --backend file: the
                       entries also persist to the flight.log sidecar)
 
@@ -373,11 +363,6 @@ fn parse_common<'a, I: Iterator<Item = &'a str>>(
             args.fsync = take_value(flag, iter)?
                 .parse()
                 .map_err(|e| ParseArgsError(format!("--fsync: {e}")))?;
-        }
-        "--crypto" => {
-            args.crypto = take_value(flag, iter)?
-                .parse()
-                .map_err(|e| ParseArgsError(format!("--crypto: {e}")))?;
         }
         "--flight" => args.flight = true,
         "--forensics-out" => args.forensics_out = Some(take_value(flag, iter)?.to_owned()),
@@ -586,21 +571,6 @@ mod tests {
         assert_eq!(args.trace_out.as_deref(), Some("events.jsonl"));
         assert!(args.epoch_report);
         assert_eq!(args.threads, Some(3));
-    }
-
-    #[test]
-    fn crypto_tier_parses_and_rejects_garbage() {
-        assert_eq!(RunArgs::default().crypto, CryptoSelect::Auto);
-        let Command::Run(args) = parse(&["run", "--crypto", "portable"]).unwrap() else {
-            panic!("expected run");
-        };
-        assert_eq!(args.crypto, CryptoSelect::Portable);
-        let Command::Recover(args) = parse(&["recover", "--crypto", "simd"]).unwrap() else {
-            panic!("expected recover");
-        };
-        assert_eq!(args.crypto, CryptoSelect::Simd);
-        let err = parse(&["run", "--crypto", "avx512"]).unwrap_err();
-        assert!(err.to_string().contains("--crypto"));
     }
 
     #[test]

@@ -94,9 +94,6 @@ fn config_of(run: &RunArgs) -> Result<SimConfig, String> {
     if run.split_meta {
         config.meta_org = MetaCacheOrg::Split;
     }
-    // A bare `--crypto` flag wins; otherwise the CCNVM_CRYPTO env var
-    // can force a tier (validate() rejects an unavailable forced tier).
-    config.crypto = run.crypto.from_env_or();
     config.validate().map_err(|e| e.to_string())?;
     Ok(config)
 }

@@ -173,11 +173,6 @@ pub struct SimConfig {
     /// Verify decrypted plaintext against the expected pattern on every
     /// miss (self-checking mode; small extra host cost).
     pub check_plaintext: bool,
-    /// Compute HMACs through the pre-optimization rekey-per-MAC path
-    /// instead of the keyed midstate engine. Output is bit-identical;
-    /// this exists so the perf bench and the golden-stats tests can
-    /// compare against the original hot-path cost.
-    pub legacy_hmac: bool,
     /// Crypto implementation tier: `Auto` picks the fastest tier this
     /// host supports; `Portable`/`Simd` force one. Every tier is
     /// bit-identical — stats, traces and profiles never change — so
@@ -213,7 +208,6 @@ impl SimConfig {
             issue_width: 4,
             key_seed: 0xcc_17,
             check_plaintext: true,
-            legacy_hmac: false,
             crypto: CryptoSelect::Auto,
             shard_index: 0,
             shard_count: 1,

@@ -10,28 +10,25 @@
 //! so the hot path pays only the message compressions plus one outer
 //! compression per MAC — the key schedule (pad XORs plus two extra
 //! SHA-1 block compressions) is hoisted out of the per-operation cost.
-//! [`HmacMode::Rekey`] keeps the original per-MAC key-schedule path
-//! alive as the bit-identical "before" reference for the perf bench
-//! and the equivalence tests.
+//! Each MAC is computed on its own, at the call site that needs it, in
+//! the engine's resolved [`CryptoTier`].
 
 use crate::counter::CounterLine;
 use crate::tcb::Keys;
 use ccnvm_crypto::otp::OtpGenerator;
-use ccnvm_crypto::{Aes128, CryptoTier, HmacEngine, HmacSha1, Mac128};
+use ccnvm_crypto::{Aes128, CryptoTier, HmacEngine, Mac128};
 use ccnvm_mem::{Line, LineAddr};
 use std::cell::Cell;
 
-/// How [`CryptoEngine`] computes its HMACs. Both modes produce
-/// bit-identical tags; they differ only in per-MAC cost.
+/// How [`CryptoEngine`] computes its HMACs: always from the keyed
+/// midstates (message compressions + one outer compression per MAC).
+/// Reported by [`CryptoEngine::hmac_mode`] so host-cost calibrations
+/// can label what they measured.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum HmacMode {
-    /// Keyed midstate engine: message compressions + one outer
-    /// compression per MAC (the optimized default).
+    /// Keyed midstate engine.
     #[default]
     Midstate,
-    /// Re-run the RFC 2104 key schedule on every MAC (the
-    /// pre-optimization reference path; slower, same output).
-    Rekey,
 }
 
 /// Functional encryption/authentication engine.
@@ -52,8 +49,6 @@ pub enum HmacMode {
 pub struct CryptoEngine {
     otp: OtpGenerator,
     hmac: HmacEngine,
-    hmac_key: [u8; 16],
-    mode: HmacMode,
     /// Resolved implementation tier (bit-identical across tiers; the
     /// default is whatever this host detects).
     tier: CryptoTier,
@@ -65,32 +60,25 @@ pub struct CryptoEngine {
 }
 
 /// Data-HMAC message length: `"DH" ‖ ciphertext ‖ address ‖ counter`.
-pub const DH_MSG_LEN: usize = 2 + 64 + 8 + 8 + 1;
+const DH_MSG_LEN: usize = 2 + 64 + 8 + 8 + 1;
 
 /// Node-MAC message length: `"MT" ‖ level ‖ position ‖ child content`.
-pub const MT_MSG_LEN: usize = 2 + 4 + 1 + 64;
+const MT_MSG_LEN: usize = 2 + 4 + 1 + 64;
 
 impl CryptoEngine {
     /// Builds an engine from the TCB keys.
     pub fn new(keys: &Keys) -> Self {
-        Self::with_mode(keys, HmacMode::Midstate)
+        Self::with_options(keys, HmacMode::Midstate, CryptoTier::detect())
     }
 
-    /// Builds an engine with an explicit HMAC mode (the perf bench and
-    /// equivalence tests compare the two).
-    pub fn with_mode(keys: &Keys, mode: HmacMode) -> Self {
-        Self::with_options(keys, mode, CryptoTier::detect())
-    }
-
-    /// Builds an engine with explicit HMAC mode *and* crypto tier. The
-    /// tier never changes any output — only how fast the host computes
-    /// it — so `new`/`with_mode` safely default to the detected tier.
-    pub fn with_options(keys: &Keys, mode: HmacMode, tier: CryptoTier) -> Self {
+    /// Builds an engine with an explicit crypto tier (`Midstate` is the
+    /// only HMAC mode). The tier never changes any output — only how
+    /// fast the host computes it — so `new` safely defaults to the
+    /// detected tier.
+    pub fn with_options(keys: &Keys, _mode: HmacMode, tier: CryptoTier) -> Self {
         Self {
             otp: OtpGenerator::new(Aes128::new(&keys.aes)),
             hmac: HmacEngine::new(&keys.hmac),
-            hmac_key: keys.hmac,
-            mode,
             tier,
             aes_ops: Cell::new(0),
             hmac_ops: Cell::new(0),
@@ -99,7 +87,7 @@ impl CryptoEngine {
 
     /// The active HMAC mode.
     pub fn hmac_mode(&self) -> HmacMode {
-        self.mode
+        HmacMode::Midstate
     }
 
     /// The resolved crypto tier this engine dispatches under.
@@ -133,20 +121,11 @@ impl CryptoEngine {
 
     fn mac_bytes(&self, msg: &[u8]) -> Mac128 {
         self.hmac_ops.set(self.hmac_ops.get() + 1);
-        match self.mode {
-            HmacMode::Midstate => self.hmac.mac128_with(self.tier, msg),
-            HmacMode::Rekey => {
-                let mut h = HmacSha1::new(&self.hmac_key);
-                h.update(msg);
-                truncate(h.finalize())
-            }
-        }
+        self.hmac.mac128_with(self.tier, msg)
     }
 
-    /// Builds the data-HMAC message without computing the MAC (drain
-    /// batching collects messages first, then MACs them lane-wise).
-    /// Pure framing: no op counters move.
-    pub fn data_hmac_msg(cipher: &Line, line: LineAddr, major: u64, minor: u8) -> [u8; DH_MSG_LEN] {
+    /// Frames the data-HMAC message.
+    fn data_hmac_msg(cipher: &Line, line: LineAddr, major: u64, minor: u8) -> [u8; DH_MSG_LEN] {
         let mut msg = [0u8; DH_MSG_LEN];
         msg[..2].copy_from_slice(b"DH");
         msg[2..66].copy_from_slice(cipher);
@@ -182,10 +161,8 @@ impl CryptoEngine {
         self.mac_bytes(&Self::node_mac_msg(level, position, content))
     }
 
-    /// Builds the node-MAC message without computing the MAC (the
-    /// batched counterpart of [`Self::node_mac`], for lane scheduling).
-    /// Pure framing: no op counters move.
-    pub fn node_mac_msg(level: usize, position: u8, content: &Line) -> [u8; MT_MSG_LEN] {
+    /// Frames the node-MAC message.
+    fn node_mac_msg(level: usize, position: u8, content: &Line) -> [u8; MT_MSG_LEN] {
         debug_assert!(position < 4, "4-ary tree positions are 0..4");
         let mut msg = [0u8; MT_MSG_LEN];
         msg[..2].copy_from_slice(b"MT");
@@ -194,43 +171,16 @@ impl CryptoEngine {
         msg[7..71].copy_from_slice(content);
         msg
     }
-
-    /// MACs a whole batch of prebuilt messages into `out`, spreading
-    /// independent messages across SIMD lanes where the tier allows.
-    ///
-    /// Bit-identical to calling the scalar MAC per message (and does
-    /// exactly that under [`HmacMode::Rekey`], which stays on the
-    /// reference path). Op counters advance by the batch length.
-    pub fn mac128_batch_msgs<M: AsRef<[u8]>>(&self, msgs: &[M], out: &mut [Mac128]) {
-        assert_eq!(msgs.len(), out.len(), "mac128_batch_msgs length mismatch");
-        self.hmac_ops.set(self.hmac_ops.get() + msgs.len() as u64);
-        match self.mode {
-            HmacMode::Midstate => self.hmac.mac128_batch(self.tier, msgs, out),
-            HmacMode::Rekey => {
-                for (msg, slot) in msgs.iter().zip(out.iter_mut()) {
-                    let mut h = HmacSha1::new(&self.hmac_key);
-                    h.update(msg.as_ref());
-                    *slot = truncate(h.finalize());
-                }
-            }
-        }
-    }
-
-    /// The HMAC key (recovery re-derives engines from the TCB).
-    pub fn hmac_key(&self) -> &[u8; 16] {
-        &self.hmac_key
-    }
-}
-
-fn truncate(full: [u8; 20]) -> Mac128 {
-    let mut out = [0u8; 16];
-    out.copy_from_slice(&full[..16]);
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ccnvm_crypto::HmacSha1;
+
+    fn truncate(full: [u8; 20]) -> Mac128 {
+        full[..16].try_into().expect("16-byte prefix")
+    }
 
     fn engine() -> CryptoEngine {
         CryptoEngine::new(&Keys::from_seed(42))
@@ -316,56 +266,34 @@ mod tests {
         );
     }
 
-    /// The midstate port must be bit-identical to the original
-    /// rekey-per-MAC path for every MAC the simulator computes.
+    /// At both tiers, every MAC the simulator computes equals the
+    /// `HmacSha1` oracle over the same framed message, under random
+    /// keys, and each MAC advances the op counter by one.
     #[test]
-    fn midstate_and_rekey_modes_are_bit_identical() {
-        let keys = Keys::from_seed(42);
-        let fast = CryptoEngine::with_mode(&keys, HmacMode::Midstate);
-        let slow = CryptoEngine::with_mode(&keys, HmacMode::Rekey);
-        assert_eq!(fast.hmac_mode(), HmacMode::Midstate);
-        assert_eq!(slow.hmac_mode(), HmacMode::Rekey);
-        for i in 0..16u64 {
-            let ct: Line = core::array::from_fn(|j| ((j as u64 * 31) ^ i) as u8);
-            assert_eq!(
-                fast.data_hmac(&ct, LineAddr(i * 7), i, (i % 64) as u8),
-                slow.data_hmac(&ct, LineAddr(i * 7), i, (i % 64) as u8),
-                "data_hmac {i}"
-            );
-            assert_eq!(
-                fast.node_mac(i as usize % 12, (i % 4) as u8, &ct),
-                slow.node_mac(i as usize % 12, (i % 4) as u8, &ct),
-                "node_mac {i}"
-            );
-        }
-    }
-
-    /// Batched MACs must equal per-message MACs in every mode and
-    /// tier, and advance the op counter by the batch length.
-    #[test]
-    fn batch_macs_are_bit_identical_across_modes_and_tiers() {
-        let keys = Keys::from_seed(11);
-        let msgs: Vec<[u8; MT_MSG_LEN]> = (0..9u8)
-            .map(|i| {
-                let content: Line = core::array::from_fn(|j| i ^ (j as u8));
-                CryptoEngine::node_mac_msg(i as usize % 12, i % 4, &content)
-            })
-            .collect();
-        for mode in [HmacMode::Midstate, HmacMode::Rekey] {
+    fn macs_match_oracle_at_both_tiers() {
+        let mut rng = ccnvm_rng::Rng::seed_from_u64(11);
+        for i in 0..32u64 {
+            let keys = Keys::from_seed(rng.next_u64());
+            let content: Line = rng.gen_array();
+            let (line, major, minor) = (LineAddr(rng.next_u64()), rng.next_u64(), i as u8);
+            let (level, position) = (i as usize % 12, (i % 4) as u8);
+            let oracle = |msg: &[u8]| truncate(HmacSha1::mac(&keys.hmac, msg));
+            let want_dh = oracle(&CryptoEngine::data_hmac_msg(&content, line, major, minor));
+            let want_mt = oracle(&CryptoEngine::node_mac_msg(level, position, &content));
             for tier in [CryptoTier::Portable, CryptoTier::Simd] {
-                let e = CryptoEngine::with_options(&keys, mode, tier);
+                let e = CryptoEngine::with_options(&keys, HmacMode::Midstate, tier);
                 assert_eq!(e.tier(), tier);
-                let mut out = vec![[0u8; 16]; msgs.len()];
-                e.mac128_batch_msgs(&msgs, &mut out);
-                assert_eq!(e.hmac_ops(), msgs.len() as u64);
-                for (i, got) in out.iter().enumerate() {
-                    let content: Line = core::array::from_fn(|j| (i as u8) ^ (j as u8));
-                    assert_eq!(
-                        *got,
-                        e.node_mac(i % 12, (i % 4) as u8, &content),
-                        "mode {mode:?}, tier {tier}, msg {i}"
-                    );
-                }
+                assert_eq!(
+                    e.data_hmac(&content, line, major, minor),
+                    want_dh,
+                    "{tier} dh {i}"
+                );
+                assert_eq!(
+                    e.node_mac(level, position, &content),
+                    want_mt,
+                    "{tier} mt {i}"
+                );
+                assert_eq!(e.hmac_ops(), 2);
             }
         }
     }

@@ -121,14 +121,9 @@ impl SecureMemory {
             });
         }
         let keys = Keys::from_seed(config.key_seed);
-        let mode = if config.legacy_hmac {
-            HmacMode::Rekey
-        } else {
-            HmacMode::Midstate
-        };
         // validate() already proved the selection resolvable.
         let tier = config.crypto.resolve().expect("validated crypto tier");
-        let engine = CryptoEngine::with_options(&keys, mode, tier);
+        let engine = CryptoEngine::with_options(&keys, HmacMode::Midstate, tier);
         let bmt = Bmt::new(layout.clone(), engine);
         let tcb = Tcb::new(keys, bmt.default_root());
         Ok(Self {

@@ -48,7 +48,7 @@ pub struct RecoveryScratch {
     touched_counters: Vec<u64>,
     /// `(counter idx, content)` input to the tree rebuild.
     counters: Vec<(u64, Line)>,
-    /// Rebuild ping-pong buffers and MAC batches.
+    /// Rebuild ping-pong buffers.
     rebuild: RebuildScratch,
 }
 
@@ -261,10 +261,9 @@ pub fn recover(image: &CrashImage) -> RecoveryReport {
 /// [`recover`] with an explicit crypto tier and caller-owned scratch.
 ///
 /// Bit-identical to `recover` on every report field; only the
-/// allocation profile (and wall-clock speed, via the lane-batched tree
-/// rebuild) differs. The retry probes of step 2 stay serial — each
-/// candidate MAC gates the next minor bump — so they ride the scalar
-/// path and keep the probe count that feeds the timeline.
+/// allocation profile and the host speed of `tier` differ. The retry
+/// probes of step 2 are serial — each candidate MAC gates the next
+/// minor bump — and their count feeds the timeline.
 pub fn recover_with(
     image: &CrashImage,
     tier: CryptoTier,

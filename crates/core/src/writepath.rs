@@ -18,7 +18,6 @@
 
 use crate::config::DesignKind;
 use crate::counter::CounterLine;
-use crate::engine::{CryptoEngine, DH_MSG_LEN};
 use crate::error::IntegrityError;
 use crate::layout::MAX_TREE_LEVELS;
 use crate::obs;
@@ -463,16 +462,6 @@ impl SecureMemory {
         // counter persist) reaches NVM as one atomic unit.
         self.nvm.begin_atomic();
         let page_first = LineAddr(written.0 / 64 * 64);
-        // Re-encrypt first (the engine borrow ends before `post_write`
-        // re-borrows all of `self` below), framing one data-HMAC
-        // message per persisted line. The page's MACs are mutually
-        // independent, so they all go through the lane-batched engine
-        // in one dispatch; fixed-size stack buffers keep page
-        // re-encryption allocation-free.
-        let mut lines = [(LineAddr(0), [0u8; 64]); 63];
-        let mut msgs = [[0u8; DH_MSG_LEN]; 63];
-        let mut macs = [[0u8; 16]; 63];
-        let mut count = 0;
         for i in 0..64usize {
             let dline = LineAddr(page_first.0 + i as u64);
             if dline == written {
@@ -481,29 +470,20 @@ impl SecureMemory {
             let Some(ct_old) = self.nvm.durable.load(dline) else {
                 continue;
             };
+            // The engine borrow ends before `post_write` re-borrows
+            // all of `self` below.
             let engine = self.bmt.engine();
             let (maj_o, min_o) = old_ctr.seed(i);
             let plain = engine.decrypt_line(&ct_old, dline, maj_o, min_o);
             let (maj_n, min_n) = new_ctr.seed(i);
             let ct_new = engine.encrypt_line(&plain, dline, maj_n, min_n);
-            msgs[count] = CryptoEngine::data_hmac_msg(&ct_new, dline, maj_n, min_n);
-            lines[count] = (dline, ct_new);
-            count += 1;
+            let dh = engine.data_hmac(&ct_new, dline, maj_n, min_n);
             self.stats.aes_ops += 2;
-        }
-        self.bmt
-            .engine()
-            .mac128_batch_msgs(&msgs[..count], &mut macs[..count]);
-        // Persist + account per line, in the same order and with the
-        // same cycle chaining as the one-line-at-a-time loop this
-        // replaces.
-        for ((dline, ct_new), dh) in lines[..count].iter().zip(&macs[..count]) {
-            let (dline, ct_new) = (*dline, *ct_new);
             self.stats.hmacs += 1;
             self.nvm.persist_data(dline, ct_new);
             let (dh_line, dh_off) = self.layout.dh_slot_of(dline);
             let mut dh_content = self.nvm.durable.read(dh_line);
-            dh_content[dh_off..dh_off + 16].copy_from_slice(dh);
+            dh_content[dh_off..dh_off + 16].copy_from_slice(&dh);
             self.nvm.persist_data(dh_line, dh_content);
             t = self.mc.read(dline, t);
             for l in [dline, dh_line] {

@@ -35,16 +35,19 @@ impl Default for Sha1 {
 }
 
 impl Sha1 {
+    /// The FIPS 180-4 initial hash value.
+    pub(crate) const IV: [u32; 5] = [
+        0x6745_2301,
+        0xefcd_ab89,
+        0x98ba_dcfe,
+        0x1032_5476,
+        0xc3d2_e1f0,
+    ];
+
     /// Creates a hasher in the initial SHA-1 state.
     pub fn new() -> Self {
         Self {
-            state: [
-                0x6745_2301,
-                0xefcd_ab89,
-                0x98ba_dcfe,
-                0x1032_5476,
-                0xc3d2_e1f0,
-            ],
+            state: Self::IV,
             len: 0,
             buf: [0u8; 64],
             buf_len: 0,
@@ -108,40 +111,10 @@ impl Sha1 {
         h.finalize()
     }
 
-    /// Captures the compression state after an exact multiple of
-    /// 64-byte blocks — a *midstate* that [`Self::from_midstate`] can
-    /// resume from without re-compressing the absorbed prefix. The
-    /// keyed HMAC engine uses this to pay the ipad/opad block
-    /// compressions once per key instead of once per MAC.
-    ///
-    /// # Panics
-    ///
-    /// Panics if bytes are buffered (the absorbed length is not a
-    /// multiple of 64).
-    pub fn midstate(&self) -> [u32; 5] {
-        assert_eq!(
-            self.buf_len, 0,
-            "midstate requires a block-aligned absorbed length"
-        );
-        self.state
-    }
-
-    /// Resumes hashing from a midstate taken after `blocks` 64-byte
-    /// blocks were absorbed (the length suffix keeps counting them).
-    pub fn from_midstate(state: [u32; 5], blocks: u64) -> Self {
-        Self {
-            state,
-            len: blocks * 64,
-            buf: [0u8; 64],
-            buf_len: 0,
-        }
-    }
-
     /// One compression round applied to `state`, returning the new
     /// state. This is the raw FIPS 180-4 block function; callers are
-    /// responsible for padding. The HMAC engine uses it to finish the
-    /// outer transform — always exactly one pre-padded block past the
-    /// opad midstate — without a full hasher round-trip.
+    /// responsible for padding. The keyed HMAC engine builds its
+    /// ipad/opad midstates and every MAC from it.
     pub(crate) fn compress_block(mut state: [u32; 5], block: &[u8; 64]) -> [u32; 5] {
         compress(&mut state, block);
         state
@@ -248,25 +221,5 @@ mod tests {
     #[test]
     fn distinct_inputs_distinct_digests() {
         assert_ne!(Sha1::digest(b"counter-0"), Sha1::digest(b"counter-1"));
-    }
-
-    #[test]
-    fn midstate_roundtrip_matches_oneshot() {
-        let data: Vec<u8> = (0..=255u8).cycle().take(320).collect();
-        for blocks in [1usize, 2, 5] {
-            let mut prefix = Sha1::new();
-            prefix.update(&data[..blocks * 64]);
-            let mut resumed = Sha1::from_midstate(prefix.midstate(), blocks as u64);
-            resumed.update(&data[blocks * 64..]);
-            assert_eq!(resumed.finalize(), Sha1::digest(&data), "{blocks} blocks");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "block-aligned")]
-    fn midstate_rejects_partial_blocks() {
-        let mut h = Sha1::new();
-        h.update(&[0u8; 65]);
-        h.midstate();
     }
 }

@@ -1,23 +1,21 @@
 //! Crypto implementation tiers and runtime CPU-feature selection.
 //!
-//! Every primitive in this crate exists in (at least) two tiers that
-//! produce **bit-identical output** and differ only in host speed:
+//! Every primitive in this crate exists in two tiers that produce
+//! **bit-identical output** and differ only in host speed:
 //!
-//! * `portable` — pure-Rust scalar (and SWAR multi-lane) code that
-//!   compiles on every target, and
-//! * `simd` — x86-64 hardware paths (AVX2/SSE2 multi-lane SHA-1,
-//!   single-stream SHA-NI, AES-NI), compiled in behind the `simd`
-//!   cargo feature and picked per-primitive at runtime from CPUID.
+//! * `portable` — pure-Rust scalar SHA-1 and T-table AES, compiled on
+//!   every target, and
+//! * `simd` — the x86-64 SHA-NI and AES-NI instructions, compiled in
+//!   behind the `simd` cargo feature and picked per primitive at
+//!   runtime from CPUID.
 //!
-//! [`CryptoSelect`] is the user-facing knob (`auto` / `portable` /
-//! `simd`, also settable through the `CCNVM_CRYPTO` environment
-//! variable); [`CryptoTier`] is the resolved choice threaded through
-//! the engines. Forcing `simd` on a build or target without any
-//! hardware path is a [`TierUnavailable`] error rather than a silent
-//! fallback, so benchmark labels never lie.
+//! [`CryptoSelect`] is the configuration value (`auto` / `portable` /
+//! `simd`, carried in `SimConfig::crypto`); [`CryptoTier`] is the
+//! resolved choice threaded through the engines. Forcing `simd` on a
+//! build or target without any hardware path is a [`TierUnavailable`]
+//! error rather than a silent fallback, so benchmark labels never lie.
 
 use std::fmt;
-use std::str::FromStr;
 
 /// The resolved implementation tier a crypto call executes under.
 ///
@@ -26,7 +24,7 @@ use std::str::FromStr;
 /// portable code for capabilities the host lacks).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CryptoTier {
-    /// Pure-Rust scalar/SWAR implementations, available everywhere.
+    /// Pure-Rust scalar implementations, available everywhere.
     Portable,
     /// Hardware-accelerated x86-64 paths where CPUID allows.
     Simd,
@@ -57,11 +55,7 @@ impl fmt::Display for CryptoTier {
 /// the `simd` feature is off or the target is not x86-64).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SimdCaps {
-    /// 8-lane SHA-1 message batching.
-    pub avx2: bool,
-    /// 4-lane SHA-1 message batching.
-    pub sse2: bool,
-    /// Single-stream SHA-1 round instructions (`SHA1RNDS4` etc.).
+    /// SHA-1 round instructions (`SHA1RNDS4` etc.).
     pub sha_ni: bool,
     /// Single-block AES round instructions (`AESENC`).
     pub aes_ni: bool,
@@ -70,37 +64,14 @@ pub struct SimdCaps {
 impl SimdCaps {
     /// Whether any hardware path is usable.
     pub fn any(&self) -> bool {
-        self.avx2 || self.sse2 || self.sha_ni || self.aes_ni
-    }
-}
-
-impl fmt::Display for SimdCaps {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut names: Vec<&str> = Vec::new();
-        if self.avx2 {
-            names.push("avx2");
-        }
-        if self.sse2 {
-            names.push("sse2");
-        }
-        if self.sha_ni {
-            names.push("sha-ni");
-        }
-        if self.aes_ni {
-            names.push("aes-ni");
-        }
-        if names.is_empty() {
-            f.write_str("none")
-        } else {
-            f.write_str(&names.join("+"))
-        }
+        self.sha_ni || self.aes_ni
     }
 }
 
 /// The hardware capabilities of this host, probed once per process.
 ///
 /// Every SHA-1 compression and AES block asks, so the answer is kept
-/// in a `OnceLock`: later calls are one load instead of six
+/// in a `OnceLock`: later calls are one load instead of four
 /// feature-detection probes.
 pub fn caps() -> SimdCaps {
     static CAPS: std::sync::OnceLock<SimdCaps> = std::sync::OnceLock::new();
@@ -111,8 +82,6 @@ fn detect_caps() -> SimdCaps {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     {
         SimdCaps {
-            avx2: std::arch::is_x86_feature_detected!("avx2"),
-            sse2: std::arch::is_x86_feature_detected!("sse2"),
             sha_ni: std::arch::is_x86_feature_detected!("sha")
                 && std::arch::is_x86_feature_detected!("ssse3")
                 && std::arch::is_x86_feature_detected!("sse4.1"),
@@ -130,8 +99,8 @@ pub fn simd_available() -> bool {
     caps().any()
 }
 
-/// User-facing tier selection, as taken by `--crypto` and the
-/// `CCNVM_CRYPTO` environment variable.
+/// Tier selection as configured (`SimConfig::crypto`), resolved
+/// against the host by [`Self::resolve`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CryptoSelect {
     /// Pick the best tier the host supports (the default).
@@ -144,22 +113,6 @@ pub enum CryptoSelect {
 }
 
 impl CryptoSelect {
-    /// Environment variable consulted by [`Self::from_env_or`].
-    pub const ENV: &'static str = "CCNVM_CRYPTO";
-
-    /// Applies the `CCNVM_CRYPTO` fallback: an explicit (non-`Auto`)
-    /// selection wins; otherwise a set and well-formed environment
-    /// value is used, and anything unset or unparseable stays `Auto`.
-    pub fn from_env_or(self) -> Self {
-        if self != Self::Auto {
-            return self;
-        }
-        match std::env::var(Self::ENV) {
-            Ok(v) => v.parse().unwrap_or(Self::Auto),
-            Err(_) => Self::Auto,
-        }
-    }
-
     /// Resolves the selection against this host.
     ///
     /// # Errors
@@ -180,41 +133,6 @@ impl CryptoSelect {
         }
     }
 }
-
-impl fmt::Display for CryptoSelect {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Self::Auto => "auto",
-            Self::Portable => "portable",
-            Self::Simd => "simd",
-        })
-    }
-}
-
-impl FromStr for CryptoSelect {
-    type Err = ParseCryptoSelectError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "auto" => Ok(Self::Auto),
-            "portable" => Ok(Self::Portable),
-            "simd" => Ok(Self::Simd),
-            _ => Err(ParseCryptoSelectError),
-        }
-    }
-}
-
-/// An unrecognized crypto selection string.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParseCryptoSelectError;
-
-impl fmt::Display for ParseCryptoSelectError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("crypto tier must be one of: auto, portable, simd")
-    }
-}
-
-impl std::error::Error for ParseCryptoSelectError {}
 
 /// The `simd` tier was forced but no hardware path exists on this
 /// build or target.
@@ -240,18 +158,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parse_roundtrip() {
-        for s in [
-            CryptoSelect::Auto,
-            CryptoSelect::Portable,
-            CryptoSelect::Simd,
-        ] {
-            assert_eq!(s.to_string().parse::<CryptoSelect>(), Ok(s));
-        }
-        assert!("fast".parse::<CryptoSelect>().is_err());
-    }
-
-    #[test]
     fn auto_resolves_to_detected_tier() {
         assert_eq!(CryptoSelect::Auto.resolve(), Ok(CryptoTier::detect()));
         assert_eq!(CryptoSelect::Portable.resolve(), Ok(CryptoTier::Portable));
@@ -269,25 +175,10 @@ mod tests {
     }
 
     #[test]
-    fn caps_display_is_stable() {
-        let none = SimdCaps::default();
-        assert_eq!(none.to_string(), "none");
-        assert!(!none.any());
-        let some = SimdCaps {
-            avx2: true,
-            sha_ni: true,
-            ..SimdCaps::default()
-        };
-        assert_eq!(some.to_string(), "avx2+sha-ni");
-        assert!(some.any());
-    }
-
-    #[test]
-    fn env_fallback_only_overrides_auto() {
-        // The env var is process-global; to stay hermetic this test
-        // only exercises the no-override paths plus the explicit-wins
-        // rule, which need no env mutation.
-        assert_eq!(CryptoSelect::Portable.from_env_or(), CryptoSelect::Portable);
-        assert_eq!(CryptoSelect::Simd.from_env_or(), CryptoSelect::Simd);
+    fn any_capability_enables_simd() {
+        assert!(!SimdCaps::default().any());
+        for (sha_ni, aes_ni) in [(true, false), (false, true), (true, true)] {
+            assert!(SimdCaps { sha_ni, aes_ni }.any());
+        }
     }
 }

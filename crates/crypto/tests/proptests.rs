@@ -108,58 +108,28 @@ fn otp_seed_uniqueness() {
     }
 }
 
-/// Multi-lane batch MACs are bit-identical to the scalar engine over
-/// random message lengths, lane counts (1/4/8 plus ragged remainders),
-/// and both crypto tiers.
+/// The keyed engine at both tiers equals the `HmacSha1` oracle for
+/// every message length 0..=200 — which takes in the simulator's two
+/// message sizes, 71-byte node MACs and 83-byte data HMACs — each under
+/// a fresh random key of 0..100 bytes (so the hash-the-key-first path
+/// for keys over 64 bytes is hit too).
 #[test]
-fn hmac_batch_matches_scalar_any_shape() {
+fn hmac_tiers_match_oracle_at_every_length() {
     let mut rng = Rng::seed_from_u64(0x5a08);
-    for _ in 0..CASES {
-        let key_len = rng.gen_range(1usize..64);
-        let key = rng.gen_bytes(key_len);
-        let engine = HmacEngine::new(&key);
-        // Batch sizes covering sub-lane (1..3), exact groups (4, 8),
-        // and ragged finals (5..7, 9..) up to several full groups.
-        let count = rng.gen_range(1usize..24);
-        // Half the cases use one shared length (the drain scheduler's
-        // shape); the rest mix lengths so groups break up.
-        let uniform = rng.gen_range(0u64..2) == 0;
-        let shared_len = rng.gen_range(0usize..200);
-        let msgs: Vec<Vec<u8>> = (0..count)
-            .map(|_| {
-                let len = if uniform {
-                    shared_len
-                } else {
-                    rng.gen_range(0usize..200)
-                };
-                rng.gen_bytes(len)
-            })
-            .collect();
-        for tier in [CryptoTier::Portable, CryptoTier::Simd] {
-            let mut out = vec![[0u8; 16]; count];
-            engine.mac128_batch(tier, &msgs, &mut out);
-            for (msg, got) in msgs.iter().zip(&out) {
-                assert_eq!(*got, engine.mac128(msg), "tier {tier}, uniform {uniform}");
-            }
-        }
-    }
-}
-
-/// Tiered single MACs equal the rekeying reference for any key and
-/// message (the batch test above covers lane shapes; this one pins the
-/// scalar `mac_with` fallback on both tiers).
-#[test]
-fn hmac_tiers_match_rekeyed_reference() {
-    let mut rng = Rng::seed_from_u64(0x5a09);
-    for _ in 0..CASES {
+    for len in 0usize..=200 {
         let key_len = rng.gen_range(0usize..100);
         let key = rng.gen_bytes(key_len);
-        let msg_len = rng.gen_range(0usize..300);
-        let msg = rng.gen_bytes(msg_len);
-        let want = hmac_sha1(&key, &msg);
+        let msg = rng.gen_bytes(len);
+        let want = HmacSha1::mac(&key, &msg);
         let engine = HmacEngine::new(&key);
-        assert_eq!(engine.mac_with(CryptoTier::Portable, &msg), want);
-        assert_eq!(engine.mac_with(CryptoTier::Simd, &msg), want);
+        for tier in [CryptoTier::Portable, CryptoTier::Simd] {
+            assert_eq!(engine.mac_with(tier, &msg), want, "tier {tier}, len {len}");
+            assert_eq!(
+                engine.mac128_with(tier, &msg)[..],
+                want[..16],
+                "tier {tier}, len {len}"
+            );
+        }
     }
 }
 
